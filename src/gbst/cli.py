@@ -64,8 +64,7 @@ def cmd_basis(args) -> int:
 
 def cmd_learn(args) -> int:
     dataset = read_gbsr(args.data)
-    row_cov, col_cov = estimation.residual_covariances(dataset)
-    cov = row_cov if args.direction == "row" else col_cov
+    (cov,) = estimation.residual_covariances(dataset, (args.direction,))
     sol = estimation.solve_ml(cov, _family(args.family))
     ref = estimation.refine(sol, dataset.block_size)
     record = {
@@ -155,7 +154,6 @@ def cmd_sample(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gbst")
-    parser.add_argument("--threads", type=int, default=1, help="evaluation parallelism (results identical)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check all graph/trig correspondences")

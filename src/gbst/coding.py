@@ -206,7 +206,7 @@ def alpha_sweep(
     elif isinstance(source, GMRFModel):
         cov = model_covariance(source.precision)
     elif isinstance(source, ResidualDataset):
-        cov, _ = residual_covariances(source)
+        (cov,) = residual_covariances(source, ("row",))
     else:
         raise InvalidParameterError(f"unsupported sweep source {type(source).__name__}")
     rows = []

@@ -7,10 +7,15 @@ File layout, little-endian throughout:
     N       u16      block size
     M       u32      block count
     samples M*N*N x i16, row-major per block
+
+``read_gbsr`` checks the header against the file length and then maps the
+samples read-only instead of reading them: a file-backed dataset holds i16
+blocks, and no float copy of the file is ever made.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -27,10 +32,13 @@ _HEADER = struct.Struct("<4sBHI")
 class ResidualDataset:
     """M residual blocks of size N x N."""
 
-    blocks: np.ndarray  # (M, N, N), float64
+    blocks: np.ndarray  # (M, N, N): float64 in memory, a read-only i16 memmap from a file
 
     def __post_init__(self):
-        self.blocks.setflags(write=False)
+        # freeze a view of our own, never the caller's array
+        blocks = self.blocks.view()
+        blocks.setflags(write=False)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def block_count(self) -> int:
@@ -51,7 +59,9 @@ def make_dataset(blocks: np.ndarray) -> ResidualDataset:
 
 
 def write_gbsr(path, dataset: ResidualDataset) -> None:
-    samples = np.rint(dataset.blocks).astype(np.int64)
+    samples = dataset.blocks
+    if not np.issubdtype(samples.dtype, np.integer):
+        samples = np.rint(samples)
     if samples.min() < -32768 or samples.max() > 32767:
         raise DatasetFormatError("residual samples do not fit in i16")
     with open(path, "wb") as f:
@@ -61,10 +71,11 @@ def write_gbsr(path, dataset: ResidualDataset) -> None:
 
 def read_gbsr(path) -> ResidualDataset:
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _HEADER.size:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(_HEADER.size)
+    if len(head) < _HEADER.size:
         raise DatasetFormatError("file shorter than the GBSR header")
-    magic, version, n, m = _HEADER.unpack_from(raw)
+    magic, version, n, m = _HEADER.unpack(head)
     if magic != MAGIC:
         raise DatasetFormatError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -72,7 +83,7 @@ def read_gbsr(path) -> ResidualDataset:
     if n < 2 or m < 1:
         raise DatasetFormatError(f"inadmissible header: N={n}, M={m}")
     expected = _HEADER.size + 2 * m * n * n
-    if len(raw) != expected:
-        raise DatasetFormatError(f"expected {expected} bytes, file has {len(raw)}")
-    samples = np.frombuffer(raw, dtype="<i2", offset=_HEADER.size)
-    return ResidualDataset(blocks=samples.astype(float).reshape(m, n, n))
+    if size != expected:
+        raise DatasetFormatError(f"expected {expected} bytes, file has {size}")
+    samples = np.memmap(path, dtype="<i2", mode="r", offset=_HEADER.size, shape=(m, n, n))
+    return ResidualDataset(blocks=samples)

@@ -49,5 +49,9 @@ class DatasetFormatError(GBSTError):
     """Binary residual dataset file is malformed or truncated."""
 
 
+class DatasetTooLargeError(GBSTError):
+    """Residual dataset has more rows than its exact int64 moment can hold."""
+
+
 class IntegerOverflowError(GBSTError):
     """Integerized transform entry exceeds the 8-bit magnitude budget."""

@@ -19,10 +19,12 @@ from scipy.linalg import solveh_banded
 
 from .dataset import ResidualDataset
 from .errors import (
+    DatasetTooLargeError,
     DegenerateGraphError,
     DegenerateInputError,
     EmptyDatasetError,
     InconsistentBlockSizeError,
+    InvalidParameterError,
     NonPositiveDefiniteError,
 )
 from .graph import GraphFamily, GraphParams, LineGraphLaplacian, build_ggl
@@ -47,7 +49,10 @@ class SampleCovariance:
         tr = float(np.trace(m))
         if np.linalg.eigvalsh(m).min() < -1e-9 * max(tr, 0.0) / self.size:
             raise DegenerateInputError("covariance is not positive semidefinite")
+        # freeze a view of our own, never the caller's array
+        m = m.view()
         m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
@@ -79,28 +84,59 @@ class RefinedParam:
     size: int
 
 
-def residual_covariances(dataset: ResidualDataset) -> tuple[SampleCovariance, SampleCovariance]:
-    """Second moments of block rows and block columns, no mean subtraction.
+# Integer blocks: a chunk of max(CHUNK_ROWS, N) rows sums at most 2^23 terms
+# of |i16|^2 <= 2^30 while CHUNK_ROWS <= 2^23 (N is a u16), so its float64
+# product stays below 2^53 and is exact; the int64 total has room for fewer
+# than INT64_ROWS rows (2^33 * 2^30 = 2^63).
+CHUNK_ROWS = 1 << 16
+INT64_ROWS = 1 << 33
+DIRECTIONS = ("row", "col")
+
+
+def residual_covariances(
+    dataset: ResidualDataset, directions: tuple[str, ...] = DIRECTIONS
+) -> tuple[SampleCovariance, ...]:
+    """Second moments of block rows and/or block columns, no mean subtraction.
 
     Rows (columns) of every block are treated as length-N observations of
     a zero-mean process; the result is the average outer product over all
-    M*N of them.  Accumulation order is fixed, so results do not depend
-    on block ordering.
+    M*N of them, one SampleCovariance per entry of ``directions``.
+
+    The blocks are walked in chunks of about CHUNK_ROWS rows, each written
+    once into a reused float64 buffer laid out (N, k, N): reshaped to
+    (N*k, N) it is the row matrix, to (N, k*N) the column matrix.  For i16
+    (or narrower) integer blocks every chunk product is exact and is folded
+    into an int64 total, so the moments are bit-identical for any chunk
+    size and any block order.
     """
     blocks = dataset.blocks
     if blocks.shape[0] == 0:
         raise EmptyDatasetError("dataset has no blocks")
     if blocks.shape[1] != blocks.shape[2]:
         raise InconsistentBlockSizeError(f"blocks are not square: {blocks.shape}")
+    for d in directions:
+        if d not in DIRECTIONS:
+            raise InvalidParameterError(f"direction must be one of {DIRECTIONS}, got {d!r}")
     m, n, _ = blocks.shape
-    rows = blocks.reshape(m * n, n)
-    cols = blocks.transpose(0, 2, 1).reshape(m * n, n)
-    row_cov = rows.T @ rows / (m * n)
-    col_cov = cols.T @ cols / (m * n)
-    return (
-        SampleCovariance(size=n, matrix=row_cov),
-        SampleCovariance(size=n, matrix=col_cov),
-    )
+    exact = np.issubdtype(blocks.dtype, np.integer) and blocks.dtype.itemsize <= 2
+    if exact and m * n >= INT64_ROWS:
+        raise DatasetTooLargeError(f"{m * n} rows overflow the exact int64 moment (limit {INT64_ROWS})")
+    k = max(1, CHUNK_ROWS // n)
+    flat = np.empty(n * min(k, m) * n)
+    totals = {d: np.zeros((n, n), dtype=np.int64 if exact else float) for d in directions}
+    for start in range(0, m, k):
+        chunk = blocks[start : start + k]
+        buf = flat[: chunk.size].reshape(n, chunk.shape[0], n)
+        np.copyto(buf, chunk.transpose(1, 0, 2))
+        for d, total in totals.items():
+            if d == "row":
+                a = buf.reshape(-1, n)
+                prod = a.T @ a
+            else:
+                a = buf.reshape(n, -1)
+                prod = a @ a.T
+            total += prod.astype(total.dtype)
+    return tuple(SampleCovariance(size=n, matrix=totals[d] / (m * n)) for d in directions)
 
 
 def logdet_tridiagonal(diag: np.ndarray, off: np.ndarray) -> float:
@@ -148,6 +184,13 @@ def _banded_inverse(lap: LineGraphLaplacian) -> np.ndarray:
         raise NonPositiveDefiniteError(str(exc)) from exc
 
 
+def _path_pattern(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Band of the unit-weight path-graph Laplacian P = dL/dw."""
+    pat_diag = np.full(n, 2.0)
+    pat_diag[0] = pat_diag[-1] = 1.0
+    return pat_diag, np.full(n - 1, -1.0)
+
+
 def ml_gradient(params: GraphParams, cov: SampleCovariance) -> tuple[float, float]:
     """Partial derivatives of the objective with respect to (w, v).
 
@@ -159,11 +202,7 @@ def ml_gradient(params: GraphParams, cov: SampleCovariance) -> tuple[float, floa
     # the pivot recurrence doubles as the PD check
     logdet_tridiagonal(lap.diagonal, lap.off_diagonal)
     delta = cov.matrix - _banded_inverse(lap)
-    n = cov.size
-    pat_diag = np.full(n, 2.0)
-    pat_diag[0] = pat_diag[-1] = 1.0
-    pat_off = np.full(n - 1, -1.0)
-    d_w = _band_trace_product(pat_diag, pat_off, delta)
+    d_w = _band_trace_product(*_path_pattern(cov.size), delta)
     d_v = float(delta[lap.self_loop_vertex, lap.self_loop_vertex])
     return d_w, d_v
 
@@ -191,6 +230,13 @@ def solve_ml(
     tr = float(np.trace(cov.matrix))
     if tr <= 0:
         raise DegenerateInputError("covariance has nonpositive trace")
+    # the objective is w Tr(PS) + v S_kk - (N-1) log w - log v (det L = v w^(N-1)),
+    # so a zero moment in either term leaves it unbounded below
+    k = build_ggl(GraphParams(1.0, 1.0, family), cov.size).self_loop_vertex
+    if cov.matrix[k, k] <= 0:
+        raise DegenerateInputError(f"boundary moment S[{k},{k}] is zero; the fit is unbounded")
+    if _band_trace_product(*_path_pattern(cov.size), cov.matrix) <= 0:
+        raise DegenerateInputError("adjacent samples never differ (Tr(PS) = 0); the fit is unbounded")
 
     def f(x):
         try:

@@ -93,6 +93,24 @@ def test_learn_truncated_file(tmp_path, capsys):
     assert "error" in err
 
 
+def test_learn_zero_boundary_moment_exits_3(tmp_path, capsys):
+    blocks = np.rint(np.random.default_rng(4).standard_normal((200, 8, 8)) * 30)
+    blocks[:, :, 0] = 0.0
+    path = tmp_path / "deg.gbsr"
+    write_gbsr(path, make_dataset(blocks))
+    code, out, err = run(capsys, "learn", "--data", str(path), "--family", "L1",
+                         "--direction", "row", "--json")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_threads_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--threads", "2", "refine", "--w", "2", "--v", "1.6"])
+    assert exc.value.code == 2
+
+
 def test_refine(capsys):
     code, out, _ = run(capsys, "refine", "--w", "2", "--v", "1.6", "--json")
     assert code == 0

@@ -1,5 +1,12 @@
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gbst.dataset import MAGIC, make_dataset, read_gbsr, write_gbsr
 from gbst.errors import DatasetFormatError, EmptyDatasetError, InconsistentBlockSizeError
@@ -52,3 +59,101 @@ def test_make_dataset_validation():
         make_dataset(np.zeros((0, 4, 4)))
     with pytest.raises(InconsistentBlockSizeError):
         make_dataset(np.zeros((2, 4, 5)))
+
+
+def test_make_dataset_leaves_caller_array_writeable():
+    blocks = np.eye(4)[None].copy()
+    ds = make_dataset(blocks)
+    assert blocks.flags.writeable
+    assert not ds.blocks.flags.writeable
+    assert np.shares_memory(ds.blocks, blocks)  # frozen view, no copy
+
+
+def test_read_gbsr_maps_i16_read_only(tmp_path):
+    blocks = np.arange(-36, 36, dtype=float).reshape(2, 6, 6)
+    path = tmp_path / "data.gbsr"
+    write_gbsr(path, make_dataset(blocks))
+    ds = read_gbsr(path)
+    assert isinstance(ds.blocks, np.memmap)
+    assert ds.blocks.dtype == np.dtype("<i2")
+    assert not ds.blocks.flags.writeable
+    # a file-backed dataset writes back byte for byte
+    write_gbsr(tmp_path / "copy.gbsr", ds)
+    assert (tmp_path / "copy.gbsr").read_bytes() == path.read_bytes()
+
+
+def _write_and_read(raw: bytes):
+    fd, path = tempfile.mkstemp(suffix=".gbsr")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(raw)
+        ds = read_gbsr(path)
+        return ds.block_count, ds.block_size, np.array(ds.blocks)
+    finally:
+        os.unlink(path)
+
+
+block_stacks = st.tuples(st.integers(1, 5), st.integers(2, 6)).flatmap(
+    lambda mn: arrays(np.int16, (mn[0], mn[1], mn[1]))
+)
+
+
+def _gbsr_bytes(blocks: np.ndarray) -> bytes:
+    m, n, _ = blocks.shape
+    return struct.pack("<4sBHI", MAGIC, 1, n, m) + blocks.astype("<i2").tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks=block_stacks)
+def test_round_trip_property(blocks):
+    fd, path = tempfile.mkstemp(suffix=".gbsr")
+    os.close(fd)
+    try:
+        write_gbsr(path, make_dataset(blocks))
+        with open(path, "rb") as f:
+            assert f.read() == _gbsr_bytes(blocks)
+    finally:
+        os.unlink(path)
+    m, n, back = _write_and_read(_gbsr_bytes(blocks))
+    assert (m, n) == blocks.shape[:2]
+    assert np.array_equal(back, blocks)
+
+
+corruptions = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10_000)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=64)),
+    st.tuples(st.just("magic"), st.binary(min_size=4, max_size=4).filter(lambda b: b != MAGIC)),
+    st.tuples(st.just("version"), st.integers(0, 255).filter(lambda v: v != 1)),
+    st.tuples(st.just("header"), st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 2**32 - 1))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks=block_stacks, corruption=corruptions)
+def test_corrupt_files_raise_format_error(blocks, corruption):
+    raw = _gbsr_bytes(blocks)
+    kind, arg = corruption
+    if kind == "truncate":
+        raw = raw[: arg % len(raw)]
+    elif kind == "extend":
+        raw += arg
+    elif kind == "magic":
+        raw = arg + raw[4:]
+    elif kind == "version":
+        raw = raw[:4] + bytes([arg]) + raw[5:]
+    else:
+        n, m = arg
+        assume(not (n >= 2 and m >= 1 and m * n * n == blocks.size))  # still a valid file
+        raw = struct.pack("<4sBHI", MAGIC, 1, n, m) + raw[11:]
+    with pytest.raises(DatasetFormatError):
+        _write_and_read(raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.binary(max_size=256))
+def test_arbitrary_bytes_never_raise_raw_errors(raw):
+    try:
+        m, n, back = _write_and_read(raw)
+    except DatasetFormatError:
+        return
+    assert len(raw) == 11 + 2 * m * n * n and back.shape == (m, n, n)

@@ -1,12 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import gbst.estimation as estimation
 from gbst.coding import GMRFModel, model_covariance, sample_gmrf, sample_gmrf_blocks
-from gbst.dataset import make_dataset
+from gbst.dataset import ResidualDataset, make_dataset
 from gbst.errors import (
+    DatasetTooLargeError,
     DegenerateGraphError,
     DegenerateInputError,
     EmptyDatasetError,
+    InvalidParameterError,
     NonPositiveDefiniteError,
 )
 from gbst.estimation import (
@@ -61,6 +69,80 @@ def test_residual_covariances_order_independent():
     # repeated runs on the same ordering are bitwise identical
     c, _ = residual_covariances(make_dataset(blocks))
     assert np.array_equal(a.matrix, c.matrix)
+    # integer samples: exact, so any order gives the same bits
+    ints = np.rint(blocks * 1000).astype(np.int16)
+    shuffled = ints[rng.permutation(10)]
+    for x, y in zip(residual_covariances(ResidualDataset(ints)), residual_covariances(ResidualDataset(shuffled))):
+        assert np.array_equal(x.matrix, y.matrix)
+
+
+def _exact_moments(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = blocks.astype(np.int64)
+    count = x.shape[0] * x.shape[1]
+    return np.einsum("bij,bik->jk", x, x) / count, np.einsum("bji,bki->jk", x, x) / count
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    blocks=st.tuples(st.integers(1, 40), st.integers(2, 8)).flatmap(
+        lambda mn: arrays(np.int16, (mn[0], mn[1], mn[1]))
+    ),
+    chunk_rows=st.integers(1, 400),
+    data=st.data(),
+)
+def test_integer_moments_exact_for_any_chunk_and_order(blocks, chunk_rows, data):
+    order = data.draw(st.permutations(range(blocks.shape[0])))
+    with mock.patch.object(estimation, "CHUNK_ROWS", chunk_rows):
+        got = residual_covariances(ResidualDataset(blocks[order]))
+        floats = residual_covariances(make_dataset(blocks))
+    for cov, want in zip(got, _exact_moments(blocks)):
+        assert np.array_equal(cov.matrix, want)
+    # the float path agrees bit for bit while its sums stay exact
+    for cov, want in zip(floats, got):
+        assert np.array_equal(cov.matrix, want.matrix)
+
+
+def test_residual_covariances_single_direction():
+    blocks = np.random.default_rng(1).standard_normal((6, 4, 4))
+    row, col = residual_covariances(make_dataset(blocks))
+    (only_col,) = residual_covariances(make_dataset(blocks), ("col",))
+    (only_row,) = residual_covariances(make_dataset(blocks), ("row",))
+    assert np.array_equal(only_col.matrix, col.matrix)
+    assert np.array_equal(only_row.matrix, row.matrix)
+    with pytest.raises(InvalidParameterError):
+        residual_covariances(make_dataset(blocks), ("diag",))
+
+
+def test_residual_covariances_int64_headroom(monkeypatch):
+    monkeypatch.setattr(estimation, "INT64_ROWS", 8)
+    with pytest.raises(DatasetTooLargeError):
+        residual_covariances(ResidualDataset(np.zeros((2, 4, 4), dtype=np.int16)))
+    # float data has no int64 total and is unaffected
+    residual_covariances(make_dataset(np.zeros((2, 4, 4))))
+
+
+def test_sample_covariance_leaves_caller_array_writeable():
+    m = np.eye(4)
+    cov = SampleCovariance(4, m)
+    assert m.flags.writeable
+    assert not cov.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("family", [L1, L2])
+def test_zero_boundary_moment_fails_fast(family):
+    rng = np.random.default_rng(2)
+    blocks = rng.standard_normal((50, 8, 8))
+    blocks[:, :, 0 if family is L1 else -1] = 0.0
+    row_cov, _ = residual_covariances(make_dataset(blocks))
+    with pytest.raises(DegenerateInputError, match="boundary moment"):
+        solve_ml(row_cov, family, SolverOptions(max_iterations=1))
+
+
+def test_constant_rows_fail_fast():
+    blocks = np.repeat(np.arange(1.0, 31.0)[:, None, None], 4, axis=1).repeat(4, axis=2)
+    row_cov, _ = residual_covariances(make_dataset(blocks))
+    with pytest.raises(DegenerateInputError, match="Tr\\(PS\\)"):
+        solve_ml(row_cov, L1, SolverOptions(max_iterations=1))
 
 
 def test_row_covariance_matches_gmrf_inverse():
