@@ -22,7 +22,6 @@ from .estimation import (
     MLSolution,
     RefinedParam,
     SampleCovariance,
-    SolverOptions,
     learn_gbst,
     ml_gradient,
     ml_objective,

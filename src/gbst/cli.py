@@ -13,7 +13,7 @@ import sys
 from . import coding, estimation, trig
 from .dataset import read_gbsr
 from .errors import GBSTError
-from .graph import GraphFamily, GraphParams, build_ggl
+from .graph import GraphFamily, GraphParams, build_ggl, check_size
 from .spectral import derive_gbt, gbt_dump
 from .trig import TrigTransformKind
 
@@ -64,6 +64,7 @@ def cmd_basis(args) -> int:
 
 def cmd_learn(args) -> int:
     dataset = read_gbsr(args.data)
+    check_size(dataset.block_size)  # before the data pass
     (cov,) = estimation.residual_covariances(dataset, (args.direction,))
     sol = estimation.solve_ml(cov, _family(args.family))
     ref = estimation.refine(sol, dataset.block_size)
@@ -118,14 +119,20 @@ def _parse_alphas(spec: str, parser) -> list[float]:
 def cmd_sweep(args, parser) -> int:
     alphas = _parse_alphas(args.alphas, parser)
     family = _family(args.family)
+    n = args.n
     if args.data:
         source = read_gbsr(args.data)
+        check_size(source.block_size)  # before the data pass
+        if n is None:
+            n = source.block_size
     else:
         if args.model_v is None:
             parser.error("sweep needs --data or --model-v")
-        lap = build_ggl(GraphParams(1.0, args.model_v, family), args.n)
+        if n is None:
+            parser.error("sweep --model-v needs --n")
+        lap = build_ggl(GraphParams(1.0, args.model_v, family), n)
         source = coding.GMRFModel(precision=lap, seed=args.seed)
-    rows = coding.alpha_sweep(source, args.n, family, alphas)
+    rows = coding.alpha_sweep(source, n, family, alphas)
     _write(args.out, coding.sweep_csv(rows))
     return 0
 
@@ -181,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("sweep", help="coding metrics across the alpha grid")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, help="block size; defaults to the --data file's")
     p.add_argument("--family", choices=["L1", "L2"], default="L1")
     p.add_argument("--alphas", required=True, help="start:step:end, step a multiple of 0.25")
     p.add_argument("--model-v", dest="model_v", type=float)

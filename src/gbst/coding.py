@@ -162,9 +162,7 @@ def _coefficient_variances(t: TransformMatrix, cov: SampleCovariance) -> np.ndar
 
 def transform_coding_gain(t: TransformMatrix, cov: SampleCovariance) -> float:
     """Arithmetic-to-geometric mean ratio of coefficient variances, in dB."""
-    d = _coefficient_variances(t, cov)
-    n = t.size
-    return 10.0 * math.log10((np.trace(cov.matrix) / n) / math.exp(np.log(d).mean()))
+    return evaluate_metrics(t, cov).coding_gain_db
 
 
 def evaluate_metrics(t: TransformMatrix, cov: SampleCovariance, k: int | None = None) -> CodingMetrics:

@@ -2,9 +2,9 @@
 
 The fit minimizes  Tr(L(w, v) S) - logdet L(w, v)  over w, v > 0, the
 negative Gaussian log-likelihood with the Laplacian as precision matrix.
-The problem is convex in (w, v) because L is linear in the parameters, so
-a projected gradient descent with backtracking is sufficient and any
-stationary interior point is the global optimum.  A second step
+L = w P + v e_k e_k^T with P the path-graph Laplacian, a tree, so
+det L = v w^(N-1) and the objective separates in w and v; its minimizer
+is w* = (N-1)/Tr(PS), v* = 1/S_kk, with no iteration.  A second step
 normalizes the fitted graph (divide by w*) and rounds the vertex weight
 to the nearest multiple of 0.25.
 """
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .dataset import ResidualDataset
 from .errors import (
@@ -27,9 +26,7 @@ from .errors import (
     InvalidParameterError,
     NonPositiveDefiniteError,
 )
-from .graph import GraphFamily, GraphParams, LineGraphLaplacian, build_ggl
-
-BOX_EPS = 1e-9
+from .graph import GraphFamily, GraphParams, build_ggl
 
 
 @dataclass(frozen=True)
@@ -56,20 +53,20 @@ class SampleCovariance:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    gradient_tol: float = 1e-10  # relative to 1 + |objective|
-    max_iterations: int = 10_000
-    box_eps: float = BOX_EPS
-
-
-@dataclass(frozen=True)
 class MLSolution:
+    """Fitted weights and the objective at them.
+
+    The fit is closed form, so ``solve_ml`` always sets ``converged`` True,
+    ``iterations`` 0 and ``boundary`` False; the fields keep their place in
+    ``learn --json``.
+    """
+
     w_star: float
     v_star: float
     objective: float
     converged: bool
     iterations: int
-    boundary: bool  # clipped at the feasible-box floor; treat as degenerate
+    boundary: bool
 
     @property
     def ratio(self) -> float:
@@ -173,117 +170,58 @@ def ml_objective(params: GraphParams, cov: SampleCovariance) -> float:
     return tr - logdet_tridiagonal(lap.diagonal, lap.off_diagonal)
 
 
-def _banded_inverse(lap: LineGraphLaplacian) -> np.ndarray:
-    """Dense inverse via Cholesky solves on the tridiagonal band."""
-    ab = np.zeros((2, lap.size))
-    ab[0, 1:] = lap.off_diagonal
-    ab[1] = lap.diagonal
-    try:
-        return solveh_banded(ab, np.eye(lap.size), lower=False)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositiveDefiniteError(str(exc)) from exc
+def _path_trace(cov: SampleCovariance) -> float:
+    """Tr(P S) for the unit-weight path-graph Laplacian P = dL/dw.
 
-
-def _path_pattern(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Band of the unit-weight path-graph Laplacian P = dL/dw."""
+    It is the summed second moment of the adjacent differences x_i - x_{i+1}.
+    """
+    n = cov.size
     pat_diag = np.full(n, 2.0)
     pat_diag[0] = pat_diag[-1] = 1.0
-    return pat_diag, np.full(n - 1, -1.0)
+    return _band_trace_product(pat_diag, np.full(n - 1, -1.0), cov.matrix)
 
 
 def ml_gradient(params: GraphParams, cov: SampleCovariance) -> tuple[float, float]:
     """Partial derivatives of the objective with respect to (w, v).
 
-    dL/dw is the unit-weight path-graph Laplacian pattern and dL/dv the
-    single diagonal entry at the self-loop vertex, so both derivatives are
-    band traces against S - L^{-1}.
+    With det L = v w^(N-1) (see ``solve_ml``) they are
+    Tr(P S) - (N-1)/w and S_kk - 1/v, where k is the self-loop vertex.
     """
-    lap = build_ggl(params, cov.size)
-    # the pivot recurrence doubles as the PD check
-    logdet_tridiagonal(lap.diagonal, lap.off_diagonal)
-    delta = cov.matrix - _banded_inverse(lap)
-    d_w = _band_trace_product(*_path_pattern(cov.size), delta)
-    d_v = float(delta[lap.self_loop_vertex, lap.self_loop_vertex])
+    k = build_ggl(params, cov.size).self_loop_vertex
+    if not params.is_positive_definite:
+        raise NonPositiveDefiniteError(
+            f"gradient needs w > 0 and v > 0, got w={params.edge_weight}, v={params.vertex_weight}"
+        )
+    d_w = _path_trace(cov) - (cov.size - 1) / params.edge_weight
+    d_v = float(cov.matrix[k, k]) - 1.0 / params.vertex_weight
     return d_w, d_v
 
 
-def _projected_gradient_norm(x: np.ndarray, g: np.ndarray, eps: float) -> float:
-    pg = g.copy()
-    at_floor = x <= eps * (1 + 1e-12)
-    pg[at_floor & (g > 0)] = 0.0
-    return float(np.hypot(*pg))
+def solve_ml(cov: SampleCovariance, family: GraphFamily) -> MLSolution:
+    """Exact ML fit: w* = (N-1)/Tr(PS), v* = 1/S_kk.
 
-
-def solve_ml(
-    cov: SampleCovariance,
-    family: GraphFamily,
-    opts: SolverOptions | None = None,
-) -> MLSolution:
-    """Projected gradient descent over the box w, v >= eps.
-
-    Initialized at w = v = N / Tr(S) so the first logdet is finite at the
-    scale of the data.  Steps use a Barzilai-Borwein guess refined by
-    backtracking; convergence is declared on the projected-gradient norm.
+    L(w, v) = w P + v e_k e_k^T with P the Laplacian of a path, a tree, so
+    every cofactor of P is 1 (matrix-tree theorem) and the determinant lemma
+    gives det L = v w^(N-1).  The objective w Tr(PS) + v S_kk - (N-1) log w
+    - log v then separates into two one-dimensional convex terms.
     """
-    opts = opts or SolverOptions()
-    eps = opts.box_eps
-    tr = float(np.trace(cov.matrix))
-    if tr <= 0:
-        raise DegenerateInputError("covariance has nonpositive trace")
-    # the objective is w Tr(PS) + v S_kk - (N-1) log w - log v (det L = v w^(N-1)),
-    # so a zero moment in either term leaves it unbounded below
-    k = build_ggl(GraphParams(1.0, 1.0, family), cov.size).self_loop_vertex
-    if cov.matrix[k, k] <= 0:
+    n = cov.size
+    k = build_ggl(GraphParams(1.0, 1.0, family), n).self_loop_vertex
+    # a zero moment in either term leaves the objective unbounded below
+    s_kk = float(cov.matrix[k, k])
+    if s_kk <= 0:
         raise DegenerateInputError(f"boundary moment S[{k},{k}] is zero; the fit is unbounded")
-    if _band_trace_product(*_path_pattern(cov.size), cov.matrix) <= 0:
+    tr_ps = _path_trace(cov)
+    if tr_ps <= 0:
         raise DegenerateInputError("adjacent samples never differ (Tr(PS) = 0); the fit is unbounded")
-
-    def f(x):
-        try:
-            return ml_objective(GraphParams(x[0], x[1], family), cov)
-        except NonPositiveDefiniteError:
-            return math.inf
-
-    def grad(x):
-        return np.array(ml_gradient(GraphParams(x[0], x[1], family), cov))
-
-    x = np.array([cov.size / tr, cov.size / tr])
-    fx = f(x)
-    g = grad(x)
-    step = 1.0 / (1.0 + float(np.hypot(*g)))
-    converged = False
-    iterations = 0
-    for iterations in range(1, opts.max_iterations + 1):
-        if _projected_gradient_norm(x, g, eps) <= opts.gradient_tol * (1.0 + abs(fx)):
-            converged = True
-            break
-        t = step
-        for _ in range(80):
-            x_new = np.maximum(x - t * g, eps)
-            d = x_new - x
-            f_new = f(x_new)
-            # sufficient decrease for the projected step
-            if f_new <= fx + g @ d + (d @ d) / (2.0 * t) + 1e-12 * (1.0 + abs(fx)):
-                break
-            t *= 0.5
-        else:
-            break  # no acceptable step at machine precision
-        if not np.any(x_new != x):
-            converged = True
-            break
-        g_new = grad(x_new)
-        s, y = x_new - x, g_new - g
-        sy = float(s @ y)
-        step = float(s @ s) / sy if sy > 0 else t * 2.0
-        x, fx, g = x_new, f_new, g_new
-    boundary = bool(np.any(x <= eps * (1 + 1e-9)))
+    w, v = (n - 1) / tr_ps, 1.0 / s_kk
     return MLSolution(
-        w_star=float(x[0]),
-        v_star=float(x[1]),
-        objective=float(fx),
-        converged=converged,
-        iterations=iterations,
-        boundary=boundary,
+        w_star=w,
+        v_star=v,
+        objective=n - (n - 1) * math.log(w) - math.log(v),
+        converged=True,
+        iterations=0,
+        boundary=False,
     )
 
 
@@ -300,14 +238,11 @@ def refine(sol: MLSolution, size: int | None = None) -> RefinedParam:
 
 
 def learn_gbst(
-    dataset: ResidualDataset,
-    family_row: GraphFamily,
-    family_col: GraphFamily,
-    opts: SolverOptions | None = None,
+    dataset: ResidualDataset, family_row: GraphFamily, family_col: GraphFamily
 ) -> tuple[RefinedParam, RefinedParam]:
     """Full two-step pipeline: covariances -> ML fit per direction -> rounding."""
     row_cov, col_cov = residual_covariances(dataset)
     n = dataset.block_size
-    row_sol = solve_ml(row_cov, family_row, opts)
-    col_sol = solve_ml(col_cov, family_col, opts)
+    row_sol = solve_ml(row_cov, family_row)
+    col_sol = solve_ml(col_cov, family_col)
     return refine(row_sol, n), refine(col_sol, n)

@@ -75,14 +75,19 @@ class LineGraphLaplacian:
         return 0 if self.params.family is GraphFamily.L1 else self.size - 1
 
 
+def check_size(n: int) -> None:
+    """Raise InvalidDimensionError unless n is an integer in [N_MIN, N_MAX]."""
+    if not isinstance(n, (int, np.integer)) or n < N_MIN or n > N_MAX:
+        raise InvalidDimensionError(f"size must be an integer in [{N_MIN}, {N_MAX}], got {n}")
+
+
 def build_ggl(params: GraphParams, n: int) -> LineGraphLaplacian:
     """Build the tridiagonal Laplacian for the given parameters and size.
 
     The interior diagonal is 2w, the boundary entries are w, and the
     self-loop weight v is added at vertex 0 (L1) or vertex N-1 (L2).
     """
-    if not isinstance(n, (int, np.integer)) or n < N_MIN or n > N_MAX:
-        raise InvalidDimensionError(f"size must be an integer in [{N_MIN}, {N_MAX}], got {n}")
+    check_size(n)
     w, v = params.edge_weight, params.vertex_weight
     diag = np.full(n, 2.0 * w)
     diag[0] = w

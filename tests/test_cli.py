@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import gbst.cli as cli
+import gbst.coding as coding
+import gbst.estimation as estimation
 import gbst.trig as trig
 from gbst.coding import sample_gmrf_blocks
 from gbst.dataset import make_dataset, write_gbsr
@@ -181,3 +183,53 @@ def test_invalid_params_exit_code(capsys):
     code, _, err = run(capsys, "basis", "--w", "-1", "--v", "1", "--n", "8")
     assert code == 3
     assert "error" in err
+
+
+def _write_blocks(path, n, count, seed=0):
+    blocks = np.rint(np.random.default_rng(seed).standard_normal((count, n, n)) * 30)
+    write_gbsr(path, make_dataset(blocks))
+
+
+@pytest.mark.parametrize("command", [["learn"], ["sweep", "--alphas", "0:0.25:1"]])
+def test_block_size_rejected_before_data_pass(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "big.gbsr"
+    _write_blocks(path, 100, 3)
+
+    def no_data_pass(*args, **kwargs):
+        raise AssertionError("residual_covariances ran before the size check")
+
+    monkeypatch.setattr(estimation, "residual_covariances", no_data_pass)
+    monkeypatch.setattr(coding, "residual_covariances", no_data_pass)
+    code, out, err = run(capsys, *command, "--data", str(path))
+    assert code == 3
+    assert out == ""
+    assert "size must be an integer in [2, 64], got 100" in err
+
+
+def test_sweep_data_takes_n_from_file(tmp_path, capsys):
+    path = tmp_path / "data.gbsr"
+    _write_blocks(path, 8, 50)
+    implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+    code, _, _ = run(capsys, "sweep", "--data", str(path), "--alphas", "0:0.25:2", "--out", str(implicit))
+    assert code == 0
+    code, _, _ = run(capsys, "sweep", "--data", str(path), "--n", "8", "--alphas", "0:0.25:2",
+                     "--out", str(explicit))
+    assert code == 0
+    assert implicit.read_bytes() == explicit.read_bytes()
+    assert len(implicit.read_text().strip().split("\n")) == 10
+
+
+def test_sweep_data_mismatched_n_exits_3(tmp_path, capsys):
+    path = tmp_path / "data.gbsr"
+    _write_blocks(path, 8, 50)
+    code, out, err = run(capsys, "sweep", "--data", str(path), "--n", "16", "--alphas", "0:0.25:1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_sweep_model_needs_n(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--alphas", "0:0.25:1", "--model-v", "1"])
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err

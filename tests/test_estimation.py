@@ -20,7 +20,6 @@ from gbst.errors import (
 from gbst.estimation import (
     MLSolution,
     SampleCovariance,
-    SolverOptions,
     learn_gbst,
     logdet_tridiagonal,
     ml_gradient,
@@ -135,14 +134,14 @@ def test_zero_boundary_moment_fails_fast(family):
     blocks[:, :, 0 if family is L1 else -1] = 0.0
     row_cov, _ = residual_covariances(make_dataset(blocks))
     with pytest.raises(DegenerateInputError, match="boundary moment"):
-        solve_ml(row_cov, family, SolverOptions(max_iterations=1))
+        solve_ml(row_cov, family)
 
 
 def test_constant_rows_fail_fast():
     blocks = np.repeat(np.arange(1.0, 31.0)[:, None, None], 4, axis=1).repeat(4, axis=2)
     row_cov, _ = residual_covariances(make_dataset(blocks))
     with pytest.raises(DegenerateInputError, match="Tr\\(PS\\)"):
-        solve_ml(row_cov, L1, SolverOptions(max_iterations=1))
+        solve_ml(row_cov, L1)
 
 
 def test_row_covariance_matches_gmrf_inverse():
@@ -278,11 +277,48 @@ def test_white_covariance_runs_to_interior_or_boundary():
     assert np.isfinite(sol.objective)
 
 
-def test_solver_options_iteration_cap():
-    lap = build_ggl(GraphParams(1.0, 1.0, L1), 8)
-    sol = solve_ml(model_covariance(lap), L1, SolverOptions(max_iterations=2))
-    assert not sol.converged
-    assert sol.iterations == 2
+def test_fit_is_grid_minimum():
+    rng = np.random.default_rng(12)
+    factors = np.geomspace(0.5, 2.0, 21)
+    for _ in range(20):
+        n = int(rng.choice([2, 4, 8, 16]))
+        fam = L1 if rng.random() < 0.5 else L2
+        s = random_cov(rng, n)
+        sol = solve_ml(s, fam)
+        best = min(
+            ml_objective(GraphParams(a * sol.w_star, b * sol.v_star, fam), s)
+            for a in factors
+            for b in factors
+        )
+        assert best >= sol.objective - 1e-12 * abs(sol.objective)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 64),
+    family=st.sampled_from([L1, L2]),
+    seed=st.integers(0, 2**32 - 1),
+    c=st.sampled_from([0.25, 0.5, 2.0, 8.0]),
+)
+def test_closed_form_fit_properties(n, family, seed, c):
+    s = random_cov(np.random.default_rng(seed), n)
+    sol = solve_ml(s, family)
+    params = GraphParams(sol.w_star, sol.v_star, family)
+    d_w, d_v = ml_gradient(params, s)
+    assert abs(d_w) <= 1e-9 * (n - 1) / sol.w_star
+    assert abs(d_v) <= 1e-9 / sol.v_star
+    # the closed-form objective agrees with the pivot-recurrence objective
+    assert sol.objective == pytest.approx(ml_objective(params, s), rel=1e-9)
+    assert (sol.converged, sol.iterations, sol.boundary) == (True, 0, False)
+    # scaling S by a power of two scales both weights by exactly 1/c
+    scaled = solve_ml(SampleCovariance(n, c * s.matrix), family)
+    assert scaled.w_star == sol.w_star / c
+    assert scaled.v_star == sol.v_star / c
+
+
+def test_gradient_rejects_non_pd():
+    with pytest.raises(NonPositiveDefiniteError):
+        ml_gradient(GraphParams(1, 0, L1), SampleCovariance(4, np.eye(4)))
 
 
 def test_refine_examples():
