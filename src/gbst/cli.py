@@ -12,8 +12,8 @@ import sys
 
 from . import coding, estimation, trig
 from .dataset import read_gbsr
-from .errors import GBSTError
-from .graph import GraphFamily, GraphParams, build_ggl, check_size
+from .errors import DimensionMismatchError, GBSTError
+from .graph import GraphFamily, GraphParams, build_ggl, check_size, matrix_text
 from .spectral import derive_gbt, gbt_dump
 from .trig import TrigTransformKind
 
@@ -125,6 +125,8 @@ def cmd_sweep(args, parser) -> int:
         check_size(source.block_size)  # before the data pass
         if n is None:
             n = source.block_size
+        elif n != source.block_size:  # before the data pass
+            raise DimensionMismatchError(f"transform N={n} vs covariance N={source.block_size}")
     else:
         if args.model_v is None:
             parser.error("sweep needs --data or --model-v")
@@ -153,8 +155,6 @@ def cmd_sample(args) -> int:
     lap = build_ggl(GraphParams(args.w, args.v, _family(args.family)), args.n)
     model = coding.GMRFModel(precision=lap, seed=args.seed)
     x = coding.sample_gmrf(model, args.count)
-    from .graph import matrix_text
-
     _write(args.out, matrix_text(x))
     return 0
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, solve_banded
 
 from .dataset import ResidualDataset
 from .errors import (
@@ -73,12 +72,10 @@ def _box_muller(gen: np.random.Generator, count: int) -> np.ndarray:
     return z[:count]
 
 
-def _chol_band(lap: LineGraphLaplacian) -> np.ndarray:
-    ab = np.zeros((2, lap.size))
-    ab[0, 1:] = lap.off_diagonal
-    ab[1] = lap.diagonal
+def _inverse_cholesky(lap: LineGraphLaplacian) -> np.ndarray:
+    """C^{-1} for the lower Cholesky factor L = C C^T; rows g C^{-1} have covariance L^{-1}."""
     try:
-        return cholesky_banded(ab, lower=False)
+        return np.linalg.inv(np.linalg.cholesky(dense_form(lap)))
     except np.linalg.LinAlgError as exc:
         raise NonPositiveDefiniteError(str(exc)) from exc
 
@@ -86,33 +83,32 @@ def _chol_band(lap: LineGraphLaplacian) -> np.ndarray:
 def sample_gmrf(model: GMRFModel, count: int, chunk: int = 1 << 15) -> np.ndarray:
     """Draw ``count`` vectors x ~ N(0, L^{-1}) as rows of a (count, N) array.
 
-    Uses the banded Cholesky L = R^T R and solves R x = g for standard
-    normal g, so cov(x) = R^{-1} R^{-T} = L^{-1}.
+    With the Cholesky factor L = C C^T, each standard normal row g maps to
+    x = g C^{-1}, so cov(x) = C^{-T} C^{-1} = L^{-1}.
     """
     if count < 1:
         raise InvalidParameterError(f"count must be >= 1, got {count}")
     n = model.precision.size
-    rb = _chol_band(model.precision)
+    cinv = _inverse_cholesky(model.precision)
     gen = np.random.Generator(np.random.Philox(model.seed))
     out = np.empty((count, n))
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
         g = _box_muller(gen, (stop - start) * n).reshape(stop - start, n)
-        out[start:stop] = solve_banded((0, 1), rb, g.T).T
+        out[start:stop] = g @ cinv
     return out
 
 
 def sample_covariance(model: GMRFModel, count: int, chunk: int = 1 << 15) -> SampleCovariance:
     """Streaming second-moment matrix of ``count`` GMRF draws."""
     n = model.precision.size
-    rb = _chol_band(model.precision)
+    cinv = _inverse_cholesky(model.precision)
     gen = np.random.Generator(np.random.Philox(model.seed))
     acc = np.zeros((n, n))
     done = 0
     while done < count:
         m = min(chunk, count - done)
-        g = _box_muller(gen, m * n).reshape(m, n)
-        x = solve_banded((0, 1), rb, g.T).T
+        x = _box_muller(gen, m * n).reshape(m, n) @ cinv
         acc += x.T @ x
         done += m
     return SampleCovariance(size=n, matrix=acc / count)
@@ -126,21 +122,21 @@ def sample_gmrf_blocks(
 ) -> np.ndarray:
     """Matrix-normal blocks whose rows follow the row graph and columns the column graph.
 
-    X = A Z B^T with A^T A-style factors from the two precisions; row and
-    column second moments come out proportional to the respective inverse
-    Laplacians, which is all the ratio-based learning needs.
+    X = C_col^{-T} Z C_row^{-1} with the Cholesky factors of the two
+    precisions; row and column second moments come out proportional to
+    the respective inverse Laplacians, which is all the ratio-based
+    learning needs.
     """
     if row_precision.size != col_precision.size:
         raise DimensionMismatchError("row and column graphs must share N")
     n = row_precision.size
-    rb_row = _chol_band(row_precision)
-    rb_col = _chol_band(col_precision)
+    cinv_row = _inverse_cholesky(row_precision)
+    cinv_col = _inverse_cholesky(col_precision)
     gen = np.random.Generator(np.random.Philox(seed))
     z = _box_muller(gen, count * n * n).reshape(count * n, n)
-    # right-multiply by B^T where B solves the row precision
-    zb = solve_banded((0, 1), rb_row, z.T).T.reshape(count, n, n)
-    # left-multiply by A per block: A y = z with the column precision factor
-    out = solve_banded((0, 1), rb_col, zb.transpose(1, 0, 2).reshape(n, count * n))
+    zb = (z @ cinv_row).reshape(count, n, n)
+    # left-multiply every block by C_col^{-T} in one product over the (n, count*n) layout
+    out = cinv_col.T @ zb.transpose(1, 0, 2).reshape(n, count * n)
     return out.reshape(n, count, n).transpose(1, 0, 2)
 
 

@@ -115,10 +115,15 @@ def normalize_ggl(lap: LineGraphLaplacian) -> LineGraphLaplacian:
 
 def dense_form(lap: LineGraphLaplacian) -> np.ndarray:
     """Dense N x N matrix with the band laid out on the three main diagonals."""
-    m = np.diag(lap.diagonal)
-    idx = np.arange(lap.size - 1)
-    m[idx, idx + 1] = lap.off_diagonal
-    m[idx + 1, idx] = lap.off_diagonal
+    return tridiagonal(lap.diagonal, lap.off_diagonal)
+
+
+def tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray) -> np.ndarray:
+    """Dense symmetric matrix with ``off_diagonal`` on both sides of ``diagonal``."""
+    m = np.diag(diagonal)
+    idx = np.arange(len(diagonal) - 1)
+    m[idx, idx + 1] = off_diagonal
+    m[idx + 1, idx] = off_diagonal
     return m
 
 

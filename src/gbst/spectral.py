@@ -10,15 +10,18 @@ flip/scale comparisons in this package rely on that canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DecompositionError, DimensionMismatchError
-from .graph import LineGraphLaplacian
+from .graph import LineGraphLaplacian, matrix_text, tridiagonal
 
 SIGN_EPS = 1e-12
 EIGENVALUE_GAP_MIN = 1e-12
+# Distinct Laplacians kept by derive_gbt; a sweep or a fit pass over N = 4..64
+# and both families touches fewer than this.
+GBT_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -54,21 +57,34 @@ def derive_gbt(lap: LineGraphLaplacian) -> TransformMatrix:
     Raises DecompositionError if the solver fails or the spectrum is not
     simple (adjacent eigenvalue gap <= 1e-12); degenerate spectra would
     make the basis non-unique and are never silently accepted.
+
+    Results are cached by the band values (not by ``lap.params``, since a
+    Laplacian may be built directly), so equal bands share one read-only
+    TransformMatrix.  The cache also keeps repeated calls from waking
+    the BLAS thread pool that the dense eigensolver starts.
     """
+    diagonal = np.asarray(lap.diagonal, dtype=np.float64)
+    off_diagonal = np.asarray(lap.off_diagonal, dtype=np.float64)
+    return _derive_gbt(lap.size, diagonal.tobytes(), off_diagonal.tobytes())
+
+
+@lru_cache(maxsize=GBT_CACHE_SIZE)
+def _derive_gbt(size: int, diagonal: bytes, off_diagonal: bytes) -> TransformMatrix:
+    diagonal = np.frombuffer(diagonal)
     try:
-        vals, vecs = eigh_tridiagonal(lap.diagonal, lap.off_diagonal)
+        vals, vecs = np.linalg.eigh(tridiagonal(diagonal, np.frombuffer(off_diagonal)))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise DecompositionError(f"tridiagonal eigensolver failed: {exc}") from exc
+        raise DecompositionError(f"symmetric eigensolver failed: {exc}") from exc
     if np.any(np.diff(vals) <= EIGENVALUE_GAP_MIN):
         raise DecompositionError(
             f"degenerate spectrum: minimum eigenvalue gap {np.diff(vals).min():.3e}"
         )
     # clamp roundoff-negative zeros; anything materially negative is a failure
-    floor = -1e-9 * max(1.0, float(np.abs(lap.diagonal).max()))
+    floor = -1e-9 * max(1.0, float(np.abs(diagonal).max()))
     if vals[0] < floor:
         raise DecompositionError(f"negative eigenvalue {vals[0]:.3e} from a PSD Laplacian")
     vals = np.maximum(vals, 0.0)
-    return TransformMatrix(size=lap.size, basis=canonical_signs(vecs), eigenvalues=vals)
+    return TransformMatrix(size=size, basis=canonical_signs(vecs), eigenvalues=vals)
 
 
 def apply_separable(block: np.ndarray, row_t: TransformMatrix, col_t: TransformMatrix) -> np.ndarray:
@@ -93,8 +109,6 @@ def inverse_separable(coeffs: np.ndarray, row_t: TransformMatrix, col_t: Transfo
 
 def basis_dump(t: TransformMatrix, header: str) -> str:
     """Basis dump: header line, then N rows (sample index) x N columns (basis index)."""
-    from .graph import matrix_text
-
     return header + "\n" + matrix_text(t.basis)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidDimensionError, NotACorrespondenceError
 from .graph import N_MAX, N_MIN, GraphFamily, GraphParams, build_ggl
-from .spectral import TransformMatrix, canonical_signs, derive_gbt
+from .spectral import TransformMatrix, basis_dump, canonical_signs, derive_gbt
 
 
 class TrigTransformKind(Enum):
@@ -113,6 +113,4 @@ def oracle_check(kind: TrigTransformKind, params: GraphParams, n: int) -> float:
 
 def trig_dump(t: TransformMatrix, kind: TrigTransformKind) -> str:
     """Basis dump with the trig-transform header."""
-    from .spectral import basis_dump
-
     return basis_dump(t, f"TRIG kind={kind.value} N={t.size}")

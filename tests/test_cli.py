@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -190,16 +193,21 @@ def _write_blocks(path, n, count, seed=0):
     write_gbsr(path, make_dataset(blocks))
 
 
-@pytest.mark.parametrize("command", [["learn"], ["sweep", "--alphas", "0:0.25:1"]])
-def test_block_size_rejected_before_data_pass(tmp_path, capsys, monkeypatch, command):
-    path = tmp_path / "big.gbsr"
-    _write_blocks(path, 100, 3)
+@pytest.fixture
+def no_data_pass(monkeypatch):
+    """Fail the test if the moment pass over the blocks starts."""
 
-    def no_data_pass(*args, **kwargs):
+    def fail(*args, **kwargs):
         raise AssertionError("residual_covariances ran before the size check")
 
-    monkeypatch.setattr(estimation, "residual_covariances", no_data_pass)
-    monkeypatch.setattr(coding, "residual_covariances", no_data_pass)
+    monkeypatch.setattr(estimation, "residual_covariances", fail)
+    monkeypatch.setattr(coding, "residual_covariances", fail)
+
+
+@pytest.mark.parametrize("command", [["learn"], ["sweep", "--alphas", "0:0.25:1"]])
+def test_block_size_rejected_before_data_pass(tmp_path, capsys, no_data_pass, command):
+    path = tmp_path / "big.gbsr"
+    _write_blocks(path, 100, 3)
     code, out, err = run(capsys, *command, "--data", str(path))
     assert code == 3
     assert out == ""
@@ -219,13 +227,13 @@ def test_sweep_data_takes_n_from_file(tmp_path, capsys):
     assert len(implicit.read_text().strip().split("\n")) == 10
 
 
-def test_sweep_data_mismatched_n_exits_3(tmp_path, capsys):
+def test_sweep_data_mismatched_n_exits_3(tmp_path, capsys, no_data_pass):
     path = tmp_path / "data.gbsr"
     _write_blocks(path, 8, 50)
     code, out, err = run(capsys, "sweep", "--data", str(path), "--n", "16", "--alphas", "0:0.25:1")
     assert code == 3
     assert out == ""
-    assert err.startswith("error: ")
+    assert err == "error: transform N=16 vs covariance N=8\n"
 
 
 def test_sweep_model_needs_n(capsys):
@@ -233,3 +241,15 @@ def test_sweep_model_needs_n(capsys):
         cli.main(["sweep", "--alphas", "0:0.25:1", "--model-v", "1"])
     assert exc.value.code == 2
     assert "--n" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    package = os.path.dirname(cli.__file__)
+    code = "import sys, gbst, gbst.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as f:
+                assert "scipy" not in f.read(), name

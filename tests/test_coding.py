@@ -3,6 +3,7 @@ import pytest
 
 from gbst.coding import (
     GMRFModel,
+    _box_muller,
     alpha_sweep,
     evaluate_metrics,
     int_matrix_text,
@@ -12,6 +13,7 @@ from gbst.coding import (
     round_half_away,
     sample_covariance,
     sample_gmrf,
+    sample_gmrf_blocks,
     sweep_csv,
     transform_coding_gain,
 )
@@ -21,7 +23,7 @@ from gbst.errors import (
     NonPositiveDefiniteError,
 )
 from gbst.estimation import SampleCovariance
-from gbst.graph import GraphFamily, GraphParams, build_ggl
+from gbst.graph import GraphFamily, GraphParams, build_ggl, dense_form
 from gbst.spectral import TransformMatrix, derive_gbt
 from gbst.trig import TrigTransformKind, trig_matrix
 
@@ -72,8 +74,38 @@ def test_streaming_covariance_matches_batch():
 
 
 def test_non_pd_precision_rejected():
+    singular = build_ggl(GraphParams(1, 0, L1), 4)
     with pytest.raises(NonPositiveDefiniteError):
-        GMRFModel(build_ggl(GraphParams(1, 0, L1), 4), seed=0)
+        GMRFModel(singular, seed=0)
+    # sample_gmrf_blocks takes bare Laplacians; its Cholesky factorization is the check
+    with pytest.raises(NonPositiveDefiniteError):
+        sample_gmrf_blocks(singular, build_ggl(GraphParams(1, 1, L1), 4), 5, seed=0)
+
+
+def _philox_draws(seed, sizes):
+    """The standard normal stream the samplers consume, drawn in the same pieces."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    return [_box_muller(gen, size) for size in sizes]
+
+
+@pytest.mark.parametrize("n, count, chunk", [(8, 1000, 300), (5, 100, 7)])
+def test_sample_gmrf_pins_philox_stream(n, count, chunk):
+    # x = g C^{-1} with L = C C^T, so x C gives back the Box-Muller draws g
+    lap = build_ggl(GraphParams(1.3, 0.7, L2), n)
+    x = sample_gmrf(GMRFModel(lap, seed=11), count, chunk=chunk)
+    sizes = [min(chunk, count - start) * n for start in range(0, count, chunk)]
+    g = np.concatenate(_philox_draws(11, sizes)).reshape(count, n)
+    assert np.abs(x @ np.linalg.cholesky(dense_form(lap)) - g).max() <= 1e-12
+
+
+def test_sample_gmrf_blocks_pins_philox_stream():
+    n, count = 6, 500
+    row = build_ggl(GraphParams(1.0, 0.4, L1), n)
+    col = build_ggl(GraphParams(2.0, 3.0, L2), n)
+    x = sample_gmrf_blocks(row, col, count, seed=23)
+    (z,) = _philox_draws(23, [count * n * n])
+    c_row, c_col = (np.linalg.cholesky(dense_form(lap)) for lap in (row, col))
+    assert np.abs(c_col.T @ x @ c_row - z.reshape(count, n, n)).max() <= 1e-12
 
 
 def test_coding_gain_isotropic_is_zero():

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from gbst.errors import DecompositionError, DimensionMismatchError
-from gbst.graph import GraphFamily, GraphParams, build_ggl, dense_form
+from gbst.graph import GraphFamily, GraphParams, LineGraphLaplacian, build_ggl, dense_form
 from gbst.spectral import (
     TransformMatrix,
     apply_separable,
+    canonical_signs,
     derive_gbt,
     gbt_dump,
     inverse_separable,
@@ -79,9 +80,31 @@ def test_gershgorin_bound():
 
 
 def test_degenerate_spectrum_rejected():
-    # zero edge weight gives a repeated zero eigenvalue
-    with pytest.raises(DecompositionError):
-        derive_gbt(build_ggl(GraphParams(0, 1, L1), 4))
+    # zero edge weight gives a repeated zero eigenvalue; errors are never cached
+    lap = build_ggl(GraphParams(0, 1, L1), 4)
+    for _ in range(3):
+        with pytest.raises(DecompositionError):
+            derive_gbt(lap)
+
+
+def test_derive_gbt_cache_shares_read_only_results():
+    a = derive_gbt(build_ggl(GraphParams(1.5, 0.75, L2), 16))
+    b = derive_gbt(build_ggl(GraphParams(1.5, 0.75, L2), 16))
+    assert b is a
+    assert not a.basis.flags.writeable and not a.eigenvalues.flags.writeable
+    with pytest.raises(ValueError):
+        a.basis[0, 0] = 0.0
+
+
+def test_derive_gbt_cache_keys_on_bands_not_params():
+    lap = build_ggl(GraphParams(1, 1, L1), 8)
+    other = LineGraphLaplacian(8, lap.diagonal + np.arange(8.0), lap.off_diagonal.copy(), lap.params)
+    for g in (lap, other):
+        t = derive_gbt(g)
+        vals, vecs = np.linalg.eigh(dense_form(g))
+        assert np.array_equal(t.eigenvalues, np.maximum(vals, 0.0))
+        assert np.array_equal(t.basis, canonical_signs(vecs))
+    assert not np.array_equal(derive_gbt(lap).eigenvalues, derive_gbt(other).eigenvalues)
 
 
 def test_apply_separable_identity():
