@@ -12,7 +12,7 @@ import sys
 
 from . import coding, estimation, trig
 from .dataset import read_gbsr
-from .errors import DimensionMismatchError, GBSTError
+from .errors import GBSTError
 from .graph import GraphFamily, GraphParams, build_ggl, check_size, matrix_text
 from .spectral import derive_gbt, gbt_dump
 from .trig import TrigTransformKind
@@ -125,8 +125,7 @@ def cmd_sweep(args, parser) -> int:
         check_size(source.block_size)  # before the data pass
         if n is None:
             n = source.block_size
-        elif n != source.block_size:  # before the data pass
-            raise DimensionMismatchError(f"transform N={n} vs covariance N={source.block_size}")
+        coding.check_transform_size(n, source.block_size)  # before the data pass
     else:
         if args.model_v is None:
             parser.error("sweep needs --data or --model-v")

@@ -146,9 +146,14 @@ def model_covariance(lap: LineGraphLaplacian) -> SampleCovariance:
     return SampleCovariance(size=lap.size, matrix=np.linalg.inv(dense_form(lap)))
 
 
+def check_transform_size(transform_n: int, covariance_n: int) -> None:
+    """Raise DimensionMismatchError unless the transform and covariance sizes agree."""
+    if transform_n != covariance_n:
+        raise DimensionMismatchError(f"transform N={transform_n} vs covariance N={covariance_n}")
+
+
 def _coefficient_variances(t: TransformMatrix, cov: SampleCovariance) -> np.ndarray:
-    if t.size != cov.size:
-        raise DimensionMismatchError(f"transform N={t.size} vs covariance N={cov.size}")
+    check_transform_size(t.size, cov.size)
     try:
         np.linalg.cholesky(cov.matrix)
     except np.linalg.LinAlgError as exc:

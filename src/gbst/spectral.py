@@ -19,8 +19,9 @@ from .graph import LineGraphLaplacian, matrix_text, tridiagonal
 
 SIGN_EPS = 1e-12
 EIGENVALUE_GAP_MIN = 1e-12
-# Distinct Laplacians kept by derive_gbt; a sweep or a fit pass over N = 4..64
-# and both families touches fewer than this.
+# Distinct Laplacians kept by derive_gbt.  A 9-point sweep needs 9; one fit
+# pass over N = 4, 8, 16, 32, 64 and both families (sweep plus refined
+# alphas) makes 110 calls on 85 distinct Laplacians.
 GBT_CACHE_SIZE = 256
 
 
@@ -60,8 +61,9 @@ def derive_gbt(lap: LineGraphLaplacian) -> TransformMatrix:
 
     Results are cached by the band values (not by ``lap.params``, since a
     Laplacian may be built directly), so equal bands share one read-only
-    TransformMatrix.  The cache also keeps repeated calls from waking
-    the BLAS thread pool that the dense eigensolver starts.
+    TransformMatrix.  Only repeated bands gain: for N > 25 LAPACK's
+    divide-and-conquer step wakes OpenBLAS's thread pool, which then
+    spins for ~0.1 s, so a first decomposition costs more CPU than wall.
     """
     diagonal = np.asarray(lap.diagonal, dtype=np.float64)
     off_diagonal = np.asarray(lap.off_diagonal, dtype=np.float64)

@@ -18,6 +18,7 @@ from gbst.coding import (
     transform_coding_gain,
 )
 from gbst.errors import (
+    DimensionMismatchError,
     IntegerOverflowError,
     InvalidParameterError,
     NonPositiveDefiniteError,
@@ -275,3 +276,10 @@ def test_matched_transform_beats_dct2_at_equal_entropy():
             assert mse <= ref * (1 + 1e-6)
             checked += 1
     assert checked >= 5
+
+
+def test_evaluate_metrics_rejects_size_mismatch():
+    t = derive_gbt(build_ggl(GraphParams(1.0, 1.0, L1), 16))
+    cov = model_covariance(build_ggl(GraphParams(1.0, 1.0, L1), 8))
+    with pytest.raises(DimensionMismatchError, match=r"^transform N=16 vs covariance N=8$"):
+        evaluate_metrics(t, cov)
