@@ -6,8 +6,6 @@ from .graph import (
     LineGraphLaplacian,
     build_ggl,
     dense_form,
-    dense_text,
-    normalize_ggl,
 )
 from .spectral import (
     TransformMatrix,
@@ -16,13 +14,12 @@ from .spectral import (
     gbt_dump,
     inverse_separable,
 )
-from .trig import TrigTransformKind, oracle_check, trig_dump, trig_matrix
+from .trig import TrigTransformKind, oracle_check, trig_matrix
 from .dataset import ResidualDataset, make_dataset, read_gbsr, write_gbsr
 from .estimation import (
     MLSolution,
     RefinedParam,
     SampleCovariance,
-    learn_gbst,
     ml_gradient,
     ml_objective,
     refine,
@@ -41,7 +38,6 @@ from .coding import (
     sample_covariance,
     sample_gmrf,
     sample_gmrf_blocks,
-    transform_coding_gain,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import coding, estimation, trig
@@ -50,9 +51,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    params = GraphParams(args.w, args.v, _family(args.family))
-    t = derive_gbt(build_ggl(params, args.n))
-    _write(args.out, gbt_dump(t, build_ggl(params, args.n)))
+    lap = build_ggl(GraphParams(args.w, args.v, _family(args.family)), args.n)
+    t = derive_gbt(lap)
+    _write(args.out, gbt_dump(t, lap))
     if args.plot_data:
         lines = []
         for k in range(t.size):
@@ -91,9 +92,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    sol = estimation.MLSolution(
-        w_star=args.w, v_star=args.v, objective=0.0, converged=True, iterations=0, boundary=False
-    )
+    sol = estimation.MLSolution(w_star=args.w, v_star=args.v, objective=0.0)
     ref = estimation.refine(sol, args.n)
     if args.json:
         print(json.dumps({"ratio": args.v / args.w, "alpha": ref.alpha, "n": args.n}))
@@ -107,6 +106,8 @@ def _parse_alphas(spec: str, parser) -> list[float]:
         start, step, end = (float(x) for x in spec.split(":"))
     except ValueError:
         parser.error(f"--alphas must be start:step:end, got {spec!r}")
+    if not all(math.isfinite(x) for x in (start, step, end)):
+        parser.error(f"--alphas parts must be finite, got {spec!r}")
     if step <= 0 or round(step * 4) != step * 4:
         parser.error(f"--alphas step must be a positive multiple of 0.25, got {step}")
     count = int(round((end - start) / step))
@@ -121,19 +122,19 @@ def cmd_sweep(args, parser) -> int:
     family = _family(args.family)
     n = args.n
     if args.data:
-        source = read_gbsr(args.data)
-        check_size(source.block_size)  # before the data pass
+        dataset = read_gbsr(args.data)
+        check_size(dataset.block_size)  # before the data pass
         if n is None:
-            n = source.block_size
-        coding.check_transform_size(n, source.block_size)  # before the data pass
+            n = dataset.block_size
+        coding.check_transform_size(n, dataset.block_size)  # before the data pass
+        (cov,) = estimation.residual_covariances(dataset, ("row",))
     else:
         if args.model_v is None:
             parser.error("sweep needs --data or --model-v")
         if n is None:
             parser.error("sweep --model-v needs --n")
-        lap = build_ggl(GraphParams(1.0, args.model_v, family), n)
-        source = coding.GMRFModel(precision=lap, seed=args.seed)
-    rows = coding.alpha_sweep(source, n, family, alphas)
+        cov = coding.model_covariance(build_ggl(GraphParams(1.0, args.model_v, family), n))
+    rows = coding.alpha_sweep(cov, n, family, alphas)
     _write(args.out, coding.sweep_csv(rows))
     return 0
 
@@ -192,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", required=True, help="start:step:end, step a multiple of 0.25")
     p.add_argument("--model-v", dest="model_v", type=float)
     p.add_argument("--data")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
     p = sub.add_parser("gen-matrix", help="8-bit integer transform table")

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ResidualDataset
 from .errors import (
     DimensionMismatchError,
     IntegerOverflowError,
     InvalidParameterError,
     NonPositiveDefiniteError,
 )
-from .estimation import SampleCovariance, logdet_tridiagonal, residual_covariances
+from .estimation import SampleCovariance, logdet_tridiagonal
 from .graph import GraphFamily, GraphParams, LineGraphLaplacian, build_ggl, dense_form
 from .spectral import TransformMatrix, apply_separable, derive_gbt, inverse_separable
 
@@ -161,22 +160,17 @@ def _coefficient_variances(t: TransformMatrix, cov: SampleCovariance) -> np.ndar
     return np.einsum("nk,nm,mk->k", t.basis, cov.matrix, t.basis)
 
 
-def transform_coding_gain(t: TransformMatrix, cov: SampleCovariance) -> float:
-    """Arithmetic-to-geometric mean ratio of coefficient variances, in dB."""
-    return evaluate_metrics(t, cov).coding_gain_db
+def evaluate_metrics(t: TransformMatrix, cov: SampleCovariance) -> CodingMetrics:
+    """Coding gain, energy fraction in the lowest max(1, N // 4) coefficients, entropy proxy.
 
-
-def evaluate_metrics(t: TransformMatrix, cov: SampleCovariance, k: int | None = None) -> CodingMetrics:
-    """Coding gain, energy fraction in the lowest k coefficients, entropy proxy.
-
-    The entropy proxy is the mean Gaussian differential entropy of the
-    coefficient variances in bits; it orders transforms the same way the
-    geometric mean does.
+    The coding gain is the arithmetic-to-geometric mean ratio of the
+    coefficient variances in dB.  The entropy proxy is the mean Gaussian
+    differential entropy of the coefficient variances in bits; it orders
+    transforms the same way the geometric mean does.
     """
     d = _coefficient_variances(t, cov)
     n = t.size
-    if k is None:
-        k = max(1, n // 4)
+    k = max(1, n // 4)
     gain = 10.0 * math.log10((np.trace(cov.matrix) / n) / math.exp(np.log(d).mean()))
     compaction = float(d[:k].sum() / d.sum())
     entropy = float(0.5 * np.log2(2.0 * np.pi * np.e * d).mean())
@@ -186,32 +180,19 @@ def evaluate_metrics(t: TransformMatrix, cov: SampleCovariance, k: int | None = 
 
 
 def alpha_sweep(
-    source,
+    cov: SampleCovariance,
     n: int,
     family: GraphFamily,
     alphas,
-    k: int | None = None,
 ) -> list[tuple[float, CodingMetrics]]:
-    """Metrics of the normalized-graph transform (w=1, v=alpha) per alpha.
-
-    ``source`` may be a SampleCovariance, a GMRFModel (exact covariance is
-    used), or a ResidualDataset (row covariance is used).
-    """
+    """Metrics of the normalized-graph transform (w=1, v=alpha) per alpha, scored on ``cov``."""
     alphas = list(alphas)
     if not alphas:
         raise InvalidParameterError("alpha list is empty")
-    if isinstance(source, SampleCovariance):
-        cov = source
-    elif isinstance(source, GMRFModel):
-        cov = model_covariance(source.precision)
-    elif isinstance(source, ResidualDataset):
-        (cov,) = residual_covariances(source, ("row",))
-    else:
-        raise InvalidParameterError(f"unsupported sweep source {type(source).__name__}")
     rows = []
     for alpha in alphas:
         t = derive_gbt(build_ggl(GraphParams(1.0, float(alpha), family), n))
-        rows.append((float(alpha), evaluate_metrics(t, cov, k)))
+        rows.append((float(alpha), evaluate_metrics(t, cov)))
     return rows
 
 

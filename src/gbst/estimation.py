@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -56,17 +57,16 @@ class SampleCovariance:
 class MLSolution:
     """Fitted weights and the objective at them.
 
-    The fit is closed form, so ``solve_ml`` always sets ``converged`` True,
-    ``iterations`` 0 and ``boundary`` False; the fields keep their place in
-    ``learn --json``.
+    The fit is closed form, so ``converged``, ``iterations`` and ``boundary``
+    are constants of the class; they keep their place in ``learn --json``.
     """
 
     w_star: float
     v_star: float
     objective: float
-    converged: bool
-    iterations: int
-    boundary: bool
+    converged: ClassVar[bool] = True
+    iterations: ClassVar[int] = 0
+    boundary: ClassVar[bool] = False
 
     @property
     def ratio(self) -> float:
@@ -219,9 +219,6 @@ def solve_ml(cov: SampleCovariance, family: GraphFamily) -> MLSolution:
         w_star=w,
         v_star=v,
         objective=n - (n - 1) * math.log(w) - math.log(v),
-        converged=True,
-        iterations=0,
-        boundary=False,
     )
 
 
@@ -230,19 +227,10 @@ def refine(sol: MLSolution, size: int | None = None) -> RefinedParam:
 
     Exact ties round half away from zero.
     """
+    if not (math.isfinite(sol.w_star) and math.isfinite(sol.v_star)):
+        raise InvalidParameterError(f"fit must be finite, got w* = {sol.w_star}, v* = {sol.v_star}")
     if sol.w_star <= 0:
         raise DegenerateGraphError(f"cannot normalize with w* = {sol.w_star}")
     ratio = sol.v_star / sol.w_star
     alpha = math.floor(abs(ratio) * 4.0 + 0.5) / 4.0 * (1 if ratio >= 0 else -1)
     return RefinedParam(alpha=alpha, size=size if size is not None else 0)
-
-
-def learn_gbst(
-    dataset: ResidualDataset, family_row: GraphFamily, family_col: GraphFamily
-) -> tuple[RefinedParam, RefinedParam]:
-    """Full two-step pipeline: covariances -> ML fit per direction -> rounding."""
-    row_cov, col_cov = residual_covariances(dataset)
-    n = dataset.block_size
-    row_sol = solve_ml(row_cov, family_row)
-    col_sol = solve_ml(col_cov, family_col)
-    return refine(row_sol, n), refine(col_sol, n)

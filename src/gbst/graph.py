@@ -9,12 +9,13 @@ diagonal and the (constant) off-diagonal are stored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateGraphError, InvalidDimensionError, InvalidParameterError
+from .errors import InvalidDimensionError, InvalidParameterError
 
 N_MIN = 2
 N_MAX = 64
@@ -31,9 +32,9 @@ class GraphFamily(Enum):
 class GraphParams:
     """The (edge weight, vertex weight, family) triple defining a line graph.
 
-    Both weights must be nonnegative.  Operations that need a positive
-    definite Laplacian additionally require both to be strictly positive;
-    they check that themselves.
+    Both weights must be finite and nonnegative.  Operations that need a
+    positive definite Laplacian additionally require both to be strictly
+    positive; they check that themselves.
     """
 
     edge_weight: float
@@ -45,6 +46,10 @@ class GraphParams:
             raise InvalidParameterError(
                 f"graph weights must be nonnegative, got "
                 f"w={self.edge_weight}, v={self.vertex_weight}"
+            )
+        if not (math.isfinite(self.edge_weight) and math.isfinite(self.vertex_weight)):
+            raise InvalidParameterError(
+                f"graph weights must be finite, got w={self.edge_weight}, v={self.vertex_weight}"
             )
 
     @property
@@ -100,19 +105,6 @@ def build_ggl(params: GraphParams, n: int) -> LineGraphLaplacian:
     return LineGraphLaplacian(size=n, diagonal=diag, off_diagonal=off, params=params)
 
 
-def normalize_ggl(lap: LineGraphLaplacian) -> LineGraphLaplacian:
-    """Divide every entry by the edge weight so the result has w = 1.
-
-    Leaves the eigenvectors (hence the transform) unchanged; only the
-    eigenvalues scale.
-    """
-    w = lap.params.edge_weight
-    if w == 0:
-        raise DegenerateGraphError("cannot normalize a graph with zero edge weight")
-    new = GraphParams(1.0, lap.params.vertex_weight / w, lap.params.family)
-    return build_ggl(new, lap.size)
-
-
 def dense_form(lap: LineGraphLaplacian) -> np.ndarray:
     """Dense N x N matrix with the band laid out on the three main diagonals."""
     return tridiagonal(lap.diagonal, lap.off_diagonal)
@@ -130,8 +122,3 @@ def tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray) -> np.ndarray:
 def matrix_text(m: np.ndarray) -> str:
     """Row-major text form: one row per line, space-separated, 17 significant digits."""
     return "\n".join(" ".join(f"{x:.17g}" for x in row) for row in np.atleast_2d(m)) + "\n"
-
-
-def dense_text(lap: LineGraphLaplacian) -> str:
-    """Text export of the dense Laplacian."""
-    return matrix_text(dense_form(lap))

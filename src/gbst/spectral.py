@@ -109,16 +109,11 @@ def inverse_separable(coeffs: np.ndarray, row_t: TransformMatrix, col_t: Transfo
     return col_t.basis @ coeffs @ row_t.basis.T
 
 
-def basis_dump(t: TransformMatrix, header: str) -> str:
-    """Basis dump: header line, then N rows (sample index) x N columns (basis index)."""
-    return header + "\n" + matrix_text(t.basis)
-
-
 def gbt_dump(t: TransformMatrix, lap: LineGraphLaplacian) -> str:
-    """Dump with the standard graph-transform header."""
+    """Basis dump: GBT header line, then N rows (sample index) x N columns (basis index)."""
     p = lap.params
     header = (
         f"GBT N={t.size} family={p.family.value} "
         f"w={p.edge_weight:.17g} v={p.vertex_weight:.17g}"
     )
-    return basis_dump(t, header)
+    return header + "\n" + matrix_text(t.basis)

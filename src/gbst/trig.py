@@ -18,9 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidDimensionError, NotACorrespondenceError
-from .graph import N_MAX, N_MIN, GraphFamily, GraphParams, build_ggl
-from .spectral import TransformMatrix, basis_dump, canonical_signs, derive_gbt
+from .errors import NotACorrespondenceError
+from .graph import GraphFamily, GraphParams, build_ggl, check_size
+from .spectral import TransformMatrix, canonical_signs, derive_gbt
 
 
 class TrigTransformKind(Enum):
@@ -72,8 +72,7 @@ def _eigenvalues(kind: TrigTransformKind, n: int) -> np.ndarray:
 
 def trig_matrix(kind: TrigTransformKind, n: int) -> TransformMatrix:
     """Orthonormal closed-form matrix, canonicalized like the graph route."""
-    if not isinstance(n, (int, np.integer)) or n < N_MIN or n > N_MAX:
-        raise InvalidDimensionError(f"size must be an integer in [{N_MIN}, {N_MAX}], got {n}")
+    check_size(n)
     basis = canonical_signs(_entries(kind, n))
     return TransformMatrix(size=int(n), basis=basis, eigenvalues=_eigenvalues(kind, n))
 
@@ -109,8 +108,3 @@ def oracle_check(kind: TrigTransformKind, params: GraphParams, n: int) -> float:
     gbt = derive_gbt(build_ggl(params, n))
     ref = trig_matrix(kind, n)
     return float(np.max(np.abs(ref.basis - gbt.basis)))
-
-
-def trig_dump(t: TransformMatrix, kind: TrigTransformKind) -> str:
-    """Basis dump with the trig-transform header."""
-    return basis_dump(t, f"TRIG kind={kind.value} N={t.size}")

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import gbst.cli as cli
-import gbst.coding as coding
 import gbst.estimation as estimation
 import gbst.trig as trig
 from gbst.coding import sample_gmrf_blocks
@@ -116,6 +115,13 @@ def test_threads_flag_removed(capsys):
     assert exc.value.code == 2
 
 
+def test_sweep_seed_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--n", "8", "--alphas", "0:0.25:1", "--model-v", "1", "--seed", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_refine(capsys):
     code, out, _ = run(capsys, "refine", "--w", "2", "--v", "1.6", "--json")
     assert code == 0
@@ -140,6 +146,14 @@ def test_sweep_bad_step(capsys):
         cli.main(["sweep", "--n", "8", "--alphas", "0:0.3:1", "--model-v", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec", ["nan:0.25:1", "0:0.25:inf", "0:inf:1"])
+def test_sweep_non_finite_alphas_is_usage_error(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--n", "8", "--alphas", spec, "--model-v", "1"])
+    assert exc.value.code == 2
+    assert "--alphas parts must be finite" in capsys.readouterr().err
 
 
 def test_gen_matrix(tmp_path, capsys):
@@ -188,6 +202,26 @@ def test_invalid_params_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--w", "1", "--v", "inf", "--n", "4"],
+        ["basis", "--w", "nan", "--v", "1", "--n", "4"],
+        ["sample", "--w", "1", "--v", "nan", "--n", "4", "--count", "2"],
+        ["sample", "--w=-inf", "--v", "1", "--n", "4", "--count", "2"],
+        ["sweep", "--n", "8", "--model-v", "nan", "--alphas", "0:0.25:1"],
+        ["refine", "--w", "nan", "--v", "1"],
+        ["refine", "--w", "1", "--v", "inf"],
+        ["refine", "--w", "1", "--v=-inf"],
+    ],
+)
+def test_non_finite_weights_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: graph weights must") or err.startswith("error: fit must be finite")
+
+
 def _write_blocks(path, n, count, seed=0):
     blocks = np.rint(np.random.default_rng(seed).standard_normal((count, n, n)) * 30)
     write_gbsr(path, make_dataset(blocks))
@@ -201,7 +235,6 @@ def no_data_pass(monkeypatch):
         raise AssertionError("residual_covariances ran before the size check")
 
     monkeypatch.setattr(estimation, "residual_covariances", fail)
-    monkeypatch.setattr(coding, "residual_covariances", fail)
 
 
 @pytest.mark.parametrize("command", [["learn"], ["sweep", "--alphas", "0:0.25:1"]])

@@ -15,7 +15,6 @@ from gbst.coding import (
     sample_gmrf,
     sample_gmrf_blocks,
     sweep_csv,
-    transform_coding_gain,
 )
 from gbst.errors import (
     DimensionMismatchError,
@@ -112,12 +111,12 @@ def test_sample_gmrf_blocks_pins_philox_stream():
 def test_coding_gain_isotropic_is_zero():
     s = SampleCovariance(8, np.eye(8))
     for t in (identity_transform(8), trig_matrix(K.DCT2, 8)):
-        assert transform_coding_gain(t, s) == pytest.approx(0.0, abs=1e-12)
+        assert evaluate_metrics(t, s).coding_gain_db == pytest.approx(0.0, abs=1e-12)
 
 
 def test_coding_gain_hand_case():
     s = SampleCovariance(2, np.diag([4.0, 1.0]))
-    g = transform_coding_gain(identity_transform(2), s)
+    g = evaluate_metrics(identity_transform(2), s).coding_gain_db
     assert g == pytest.approx(10 * np.log10(2.5 / 2.0), abs=1e-12)
 
 
@@ -126,8 +125,8 @@ def test_coding_gain_matched_transform_is_klt():
     s = model_covariance(lap)
     dst7 = trig_matrix(K.DST7, 8)
     dct2 = trig_matrix(K.DCT2, 8)
-    g_dst7 = transform_coding_gain(dst7, s)
-    g_dct2 = transform_coding_gain(dct2, s)
+    g_dst7 = evaluate_metrics(dst7, s).coding_gain_db
+    g_dct2 = evaluate_metrics(dct2, s).coding_gain_db
     assert g_dst7 >= g_dct2
     # KLT gain from the exact eigendecomposition of S
     eigvals = np.linalg.eigvalsh(s.matrix)
@@ -141,7 +140,7 @@ def test_coding_gain_matched_transform_is_klt():
 
 def test_coding_gain_rejects_non_pd():
     with pytest.raises(NonPositiveDefiniteError):
-        transform_coding_gain(identity_transform(2), SampleCovariance(2, np.diag([1.0, 0.0])))
+        evaluate_metrics(identity_transform(2), SampleCovariance(2, np.diag([1.0, 0.0])))
 
 
 def test_evaluate_metrics_ranges():
@@ -154,9 +153,8 @@ def test_evaluate_metrics_ranges():
 
 def test_alpha_sweep_peak_at_generating_alpha():
     lap = build_ggl(GraphParams(1, 0.75, L1), 16)
-    model = GMRFModel(lap, seed=0)
     alphas = [i * 0.25 for i in range(9)]
-    rows = alpha_sweep(model, 16, L1, alphas)
+    rows = alpha_sweep(model_covariance(lap), 16, L1, alphas)
     gains = [m.coding_gain_db for _, m in rows]
     assert rows[int(np.argmax(gains))][0] == 0.75
     # unimodal on the grid
@@ -167,21 +165,20 @@ def test_alpha_sweep_peak_at_generating_alpha():
 
 def test_alpha_sweep_alpha_zero_is_dct2():
     lap = build_ggl(GraphParams(1, 0.75, L1), 8)
-    model = GMRFModel(lap, seed=0)
-    rows = alpha_sweep(model, 8, L1, [0.0])
-    dct2_gain = transform_coding_gain(trig_matrix(K.DCT2, 8), model_covariance(lap))
+    rows = alpha_sweep(model_covariance(lap), 8, L1, [0.0])
+    dct2_gain = evaluate_metrics(trig_matrix(K.DCT2, 8), model_covariance(lap)).coding_gain_db
     assert rows[0][1].coding_gain_db == pytest.approx(dct2_gain, abs=1e-12)
 
 
 def test_alpha_sweep_empty():
     lap = build_ggl(GraphParams(1, 1, L1), 8)
     with pytest.raises(InvalidParameterError):
-        alpha_sweep(GMRFModel(lap, 0), 8, L1, [])
+        alpha_sweep(model_covariance(lap), 8, L1, [])
 
 
 def test_sweep_csv_format():
     lap = build_ggl(GraphParams(1, 1, L1), 4)
-    rows = alpha_sweep(GMRFModel(lap, 0), 4, L1, [0.0, 1.0])
+    rows = alpha_sweep(model_covariance(lap), 4, L1, [0.0, 1.0])
     lines = sweep_csv(rows).strip().split("\n")
     assert lines[0] == "alpha,coding_gain_db,energy_compaction,entropy_bits"
     assert len(lines) == 3

@@ -20,7 +20,6 @@ from gbst.errors import (
 from gbst.estimation import (
     MLSolution,
     SampleCovariance,
-    learn_gbst,
     logdet_tridiagonal,
     ml_gradient,
     ml_objective,
@@ -323,7 +322,7 @@ def test_gradient_rejects_non_pd():
 
 def test_refine_examples():
     def sol(w, v):
-        return MLSolution(w, v, 0.0, True, 1, False)
+        return MLSolution(w, v, 0.0)
 
     assert refine(sol(2.0, 1.6)).alpha == 0.75
     assert refine(sol(1.0, 1.0)).alpha == 1.0
@@ -339,7 +338,26 @@ def test_learn_gbst_end_to_end():
     col_lap = build_ggl(GraphParams(1, 1, L2), 8)
     blocks = sample_gmrf_blocks(row_lap, col_lap, 20_000, seed=31)
     dataset = make_dataset(np.rint(blocks * 64))
-    row, col = learn_gbst(dataset, L1, L2)
+    covs = residual_covariances(dataset)
+    row, col = (refine(solve_ml(cov, fam), dataset.block_size) for cov, fam in zip(covs, (L1, L2)))
     assert row.alpha == 1.0
     assert col.alpha == 1.0
     assert row.size == col.size == 8
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_non_finite_weights_rejected(bad, slot):
+    weights = [1.0, 1.0]
+    weights[slot] = bad
+    with pytest.raises(InvalidParameterError):
+        GraphParams(*weights, L1)
+    with pytest.raises(InvalidParameterError):
+        refine(MLSolution(*weights, 0.0))
+
+
+def test_ml_solution_constants_are_class_level():
+    sol = MLSolution(2.0, 1.5, 0.0)
+    assert (sol.converged, sol.iterations, sol.boundary) == (True, 0, False)
+    with pytest.raises(TypeError):
+        MLSolution(2.0, 1.5, 0.0, True, 0, False)

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from gbst.errors import DegenerateGraphError, InvalidDimensionError, InvalidParameterError
-from gbst.graph import (
-    GraphFamily,
-    GraphParams,
-    build_ggl,
-    dense_form,
-    dense_text,
-    normalize_ggl,
-)
+from gbst.errors import InvalidDimensionError, InvalidParameterError
+from gbst.graph import GraphFamily, GraphParams, build_ggl, dense_form, matrix_text
 
 L1, L2 = GraphFamily.L1, GraphFamily.L2
 
@@ -41,22 +34,6 @@ def test_no_self_loop_is_combinatorial():
 )
 def test_dense_form_n2(params, expected):
     assert np.array_equal(dense_form(build_ggl(params, 2)), expected)
-
-
-def test_normalize():
-    lap = normalize_ggl(build_ggl(GraphParams(2, 1.5, L1), 4))
-    assert lap.params.edge_weight == 1
-    assert lap.params.vertex_weight == 0.75
-    lap = normalize_ggl(build_ggl(GraphParams(1, 1, L1), 8))
-    assert (lap.params.edge_weight, lap.params.vertex_weight) == (1, 1)
-    lap = normalize_ggl(build_ggl(GraphParams(0.5, 1, L2), 4))
-    assert (lap.params.edge_weight, lap.params.vertex_weight) == (1, 2)
-    assert lap.params.family is L2
-
-
-def test_normalize_zero_weight():
-    with pytest.raises(DegenerateGraphError):
-        normalize_ggl(build_ggl(GraphParams(0, 1, L1), 4))
 
 
 def test_invalid_inputs():
@@ -104,7 +81,7 @@ def test_positive_definiteness_boundary():
 
 
 def test_dense_text_format():
-    text = dense_text(build_ggl(GraphParams(1, 1, L1), 2))
+    text = matrix_text(dense_form(build_ggl(GraphParams(1, 1, L1), 2)))
     lines = text.strip().split("\n")
     assert lines == ["2 -1", "-1 1"]
     parsed = np.loadtxt(text.strip().split("\n"))

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gbst.coding import integerize
 from gbst.errors import DecompositionError, DimensionMismatchError
 from gbst.graph import GraphFamily, GraphParams, LineGraphLaplacian, build_ggl, dense_form
 from gbst.spectral import (
+    SIGN_EPS,
     TransformMatrix,
     apply_separable,
     canonical_signs,
@@ -54,6 +58,31 @@ def test_reconstruction_and_orthonormality(n):
         assert np.abs(rec - dense).max() <= 1e-9 * max(1, np.abs(dense).max())
         assert np.all(np.diff(t.eigenvalues) > 0)
         assert t.eigenvalues[0] >= 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 64),
+    family=st.sampled_from([L1, L2]),
+    w=st.floats(0.25, 4.0),
+    alpha=st.integers(0, 8).map(lambda i: i * 0.25),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_derive_gbt_properties(n, family, w, alpha, seed):
+    lap = build_ggl(GraphParams(w, alpha * w, family), n)
+    t = derive_gbt(lap)
+    u, lam = t.basis, t.eigenvalues
+    assert np.abs(u.T @ u - np.eye(n)).max() <= 1e-10
+    dense = dense_form(lap)
+    assert np.abs(dense @ u - u * lam).max() <= 1e-9 * np.abs(dense).max()
+    assert np.all(np.diff(lam) > 0)
+    # canonical signs: in every column the first entry above SIGN_EPS is positive
+    first = np.argmax(np.abs(u) > SIGN_EPS, axis=0)
+    assert np.all(u[first, np.arange(n)] > 0)
+    x = np.random.default_rng(seed).standard_normal((n, n))
+    assert np.abs(inverse_separable(apply_separable(x, t, t), t, t) - x).max() <= 1e-10
+    # the largest magnitude over this whole grid at w = 1 is 91
+    assert np.abs(integerize(t).entries).max() <= 127
 
 
 def test_sign_convention():

@@ -3,7 +3,7 @@ import pytest
 
 from gbst.errors import InvalidDimensionError, NotACorrespondenceError
 from gbst.graph import GraphFamily, GraphParams
-from gbst.trig import CORRESPONDENCE, TrigTransformKind, oracle_check, trig_dump, trig_matrix
+from gbst.trig import CORRESPONDENCE, TrigTransformKind, oracle_check, trig_matrix
 
 L1, L2 = GraphFamily.L1, GraphFamily.L2
 K = TrigTransformKind
@@ -86,9 +86,3 @@ def test_eigenvalues_match_graph_route():
         g = derive_gbt(build_ggl(GraphParams(1.0, ratio, family), 16))
         assert np.abs(t.eigenvalues - g.eigenvalues).max() < 1e-10
 
-
-def test_trig_dump_header():
-    t = trig_matrix(K.DCT8, 4)
-    lines = trig_dump(t, K.DCT8).strip().split("\n")
-    assert lines[0] == "TRIG kind=DCT8 N=4"
-    assert len(lines) == 5
