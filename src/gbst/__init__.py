@@ -28,7 +28,6 @@ from .estimation import (
 )
 from .coding import (
     CodingMetrics,
-    GMRFModel,
     IntTransformMatrix,
     alpha_sweep,
     evaluate_metrics,

@@ -20,10 +20,7 @@ from .trig import TrigTransformKind
 
 VERIFY_SIZES = (4, 8, 16, 32)
 VERIFY_TOL = 1e-8
-
-
-def _family(name: str) -> GraphFamily:
-    return GraphFamily(name)
+_MAX_ALPHAS = 4096
 
 
 def _write(path, text: str) -> None:
@@ -34,7 +31,7 @@ def _write(path, text: str) -> None:
             f.write(text)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, parser) -> int:
     kinds = [TrigTransformKind(args.kind)] if args.kind else list(trig.CORRESPONDENCE)
     sizes = [args.n] if args.n else list(VERIFY_SIZES)
     failed = False
@@ -50,8 +47,8 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_basis(args) -> int:
-    lap = build_ggl(GraphParams(args.w, args.v, _family(args.family)), args.n)
+def cmd_basis(args, parser) -> int:
+    lap = build_ggl(GraphParams(args.w, args.v, GraphFamily(args.family)), args.n)
     t = derive_gbt(lap)
     _write(args.out, gbt_dump(t, lap))
     if args.plot_data:
@@ -63,11 +60,11 @@ def cmd_basis(args) -> int:
     return 0
 
 
-def cmd_learn(args) -> int:
+def cmd_learn(args, parser) -> int:
     dataset = read_gbsr(args.data)
     check_size(dataset.block_size)  # before the data pass
     (cov,) = estimation.residual_covariances(dataset, (args.direction,))
-    sol = estimation.solve_ml(cov, _family(args.family))
+    sol = estimation.solve_ml(cov, GraphFamily(args.family))
     ref = estimation.refine(sol, dataset.block_size)
     record = {
         "direction": args.direction,
@@ -91,7 +88,7 @@ def cmd_learn(args) -> int:
     return 0
 
 
-def cmd_refine(args) -> int:
+def cmd_refine(args, parser) -> int:
     sol = estimation.MLSolution(w_star=args.w, v_star=args.v, objective=0.0)
     ref = estimation.refine(sol, args.n)
     if args.json:
@@ -110,7 +107,10 @@ def _parse_alphas(spec: str, parser) -> list[float]:
         parser.error(f"--alphas parts must be finite, got {spec!r}")
     if step <= 0 or round(step * 4) != step * 4:
         parser.error(f"--alphas step must be a positive multiple of 0.25, got {step}")
-    count = int(round((end - start) / step))
+    span = (end - start) / step
+    if span >= _MAX_ALPHAS:  # checked before the list is built
+        parser.error(f"--alphas range {spec!r} has more than {_MAX_ALPHAS} points")
+    count = int(round(max(span, -1.0)))  # any negative span is empty; -inf must not reach int()
     alphas = [start + i * step for i in range(count + 1) if start + i * step <= end + 1e-9]
     if not alphas:
         parser.error(f"--alphas range {spec!r} is empty")
@@ -119,7 +119,7 @@ def _parse_alphas(spec: str, parser) -> list[float]:
 
 def cmd_sweep(args, parser) -> int:
     alphas = _parse_alphas(args.alphas, parser)
-    family = _family(args.family)
+    family = GraphFamily(args.family)
     n = args.n
     if args.data:
         dataset = read_gbsr(args.data)
@@ -143,7 +143,7 @@ def cmd_gen_matrix(args, parser) -> int:
     if args.kind:
         t = trig.trig_matrix(TrigTransformKind(args.kind), args.n)
     elif args.w is not None and args.v is not None:
-        t = derive_gbt(build_ggl(GraphParams(args.w, args.v, _family(args.family)), args.n))
+        t = derive_gbt(build_ggl(GraphParams(args.w, args.v, GraphFamily(args.family)), args.n))
     else:
         parser.error("gen-matrix needs --kind or both --w and --v")
     m = coding.integerize(t)
@@ -151,10 +151,9 @@ def cmd_gen_matrix(args, parser) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
-    lap = build_ggl(GraphParams(args.w, args.v, _family(args.family)), args.n)
-    model = coding.GMRFModel(precision=lap, seed=args.seed)
-    x = coding.sample_gmrf(model, args.count)
+def cmd_sample(args, parser) -> int:
+    lap = build_ggl(GraphParams(args.w, args.v, GraphFamily(args.family)), args.n)
+    x = coding.sample_gmrf(lap, args.count, args.seed)
     _write(args.out, matrix_text(x))
     return 0
 
@@ -164,10 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check all graph/trig correspondences")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--kind", choices=[k.value for k in TrigTransformKind])
     p.add_argument("--n", type=int)
 
     p = sub.add_parser("basis", help="dump a transform basis")
+    p.set_defaults(run=cmd_basis)
     p.add_argument("--family", choices=["L1", "L2"], default="L1")
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
@@ -176,18 +177,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot-data", dest="plot_data")
 
     p = sub.add_parser("learn", help="fit graph parameters to a GBSR dataset")
+    p.set_defaults(run=cmd_learn)
     p.add_argument("--data", required=True)
     p.add_argument("--family", choices=["L1", "L2"], default="L1")
     p.add_argument("--direction", choices=["row", "col"], default="row")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("refine", help="normalize and round a parameter pair")
+    p.set_defaults(run=cmd_refine)
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("sweep", help="coding metrics across the alpha grid")
+    p.set_defaults(run=cmd_sweep)
     p.add_argument("--n", type=int, help="block size; defaults to the --data file's")
     p.add_argument("--family", choices=["L1", "L2"], default="L1")
     p.add_argument("--alphas", required=True, help="start:step:end, step a multiple of 0.25")
@@ -196,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("gen-matrix", help="8-bit integer transform table")
+    p.set_defaults(run=cmd_gen_matrix)
     p.add_argument("--kind", choices=[k.value for k in TrigTransformKind])
     p.add_argument("--family", choices=["L1", "L2"], default="L1")
     p.add_argument("--w", type=float)
@@ -204,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("sample", help="draw reproducible GMRF vectors")
+    p.set_defaults(run=cmd_sample)
     p.add_argument("--family", choices=["L1", "L2"], default="L1")
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
@@ -219,27 +225,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "basis":
-            return cmd_basis(args)
-        if args.command == "learn":
-            return cmd_learn(args)
-        if args.command == "refine":
-            return cmd_refine(args)
-        if args.command == "sweep":
-            return cmd_sweep(args, parser)
-        if args.command == "gen-matrix":
-            return cmd_gen_matrix(args, parser)
-        if args.command == "sample":
-            return cmd_sample(args)
-    except GBSTError as exc:
+        return args.run(args, parser)
+    except (GBSTError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    raise AssertionError(args.command)
 
 
 if __name__ == "__main__":

@@ -25,18 +25,6 @@ from .spectral import TransformMatrix, apply_separable, derive_gbt, inverse_sepa
 
 
 @dataclass(frozen=True)
-class GMRFModel:
-    """Zero-mean Gaussian with the line-graph Laplacian as precision matrix."""
-
-    precision: LineGraphLaplacian
-    seed: int
-
-    def __post_init__(self):
-        # pivot recurrence doubles as the positive-definiteness check
-        logdet_tridiagonal(self.precision.diagonal, self.precision.off_diagonal)
-
-
-@dataclass(frozen=True)
 class IntTransformMatrix:
     """Codec-style integer table: row k holds basis vector k scaled by 64*sqrt(N)."""
 
@@ -73,44 +61,47 @@ def _box_muller(gen: np.random.Generator, count: int) -> np.ndarray:
 
 def _inverse_cholesky(lap: LineGraphLaplacian) -> np.ndarray:
     """C^{-1} for the lower Cholesky factor L = C C^T; rows g C^{-1} have covariance L^{-1}."""
+    # pivot recurrence doubles as the positive-definiteness check
+    logdet_tridiagonal(lap.diagonal, lap.off_diagonal)
     try:
         return np.linalg.inv(np.linalg.cholesky(dense_form(lap)))
     except np.linalg.LinAlgError as exc:
         raise NonPositiveDefiniteError(str(exc)) from exc
 
 
-def sample_gmrf(model: GMRFModel, count: int, chunk: int = 1 << 15) -> np.ndarray:
-    """Draw ``count`` vectors x ~ N(0, L^{-1}) as rows of a (count, N) array.
+def _gmrf_chunks(precision: LineGraphLaplacian, count: int, seed: int, chunk: int):
+    """Draws x ~ N(0, L^{-1}) as (m, N) arrays of at most ``chunk`` rows, ``count`` rows in all.
 
     With the Cholesky factor L = C C^T, each standard normal row g maps to
-    x = g C^{-1}, so cov(x) = C^{-T} C^{-1} = L^{-1}.
+    x = g C^{-1}, so cov(x) = C^{-T} C^{-1} = L^{-1}.  The checks run on the
+    call; the draws run as the result is iterated.
     """
     if count < 1:
         raise InvalidParameterError(f"count must be >= 1, got {count}")
-    n = model.precision.size
-    cinv = _inverse_cholesky(model.precision)
-    gen = np.random.Generator(np.random.Philox(model.seed))
-    out = np.empty((count, n))
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        g = _box_muller(gen, (stop - start) * n).reshape(stop - start, n)
-        out[start:stop] = g @ cinv
+    n = precision.size
+    cinv = _inverse_cholesky(precision)
+    gen = np.random.Generator(np.random.Philox(seed))
+    sizes = (min(chunk, count - start) for start in range(0, count, chunk))
+    return (_box_muller(gen, m * n).reshape(m, n) @ cinv for m in sizes)
+
+
+def sample_gmrf(
+    precision: LineGraphLaplacian, count: int, seed: int, chunk: int = 1 << 15
+) -> np.ndarray:
+    """Draw ``count`` vectors x ~ N(0, L^{-1}) as rows of a (count, N) array."""
+    chunks = _gmrf_chunks(precision, count, seed, chunk)
+    out = np.empty((count, precision.size))  # before the first draw, so a huge count fails at once
+    for start, x in zip(range(0, count, chunk), chunks):
+        out[start : start + len(x)] = x
     return out
 
 
-def sample_covariance(model: GMRFModel, count: int, chunk: int = 1 << 15) -> SampleCovariance:
-    """Streaming second-moment matrix of ``count`` GMRF draws."""
-    n = model.precision.size
-    cinv = _inverse_cholesky(model.precision)
-    gen = np.random.Generator(np.random.Philox(model.seed))
-    acc = np.zeros((n, n))
-    done = 0
-    while done < count:
-        m = min(chunk, count - done)
-        x = _box_muller(gen, m * n).reshape(m, n) @ cinv
+def sample_covariance(precision: LineGraphLaplacian, count: int, seed: int) -> SampleCovariance:
+    """Second-moment matrix of ``count`` GMRF draws, summed chunk by chunk."""
+    acc = np.zeros((precision.size, precision.size))
+    for x in _gmrf_chunks(precision, count, seed, 1 << 15):
         acc += x.T @ x
-        done += m
-    return SampleCovariance(size=n, matrix=acc / count)
+    return SampleCovariance(size=precision.size, matrix=acc / count)
 
 
 def sample_gmrf_blocks(
@@ -129,13 +120,10 @@ def sample_gmrf_blocks(
     if row_precision.size != col_precision.size:
         raise DimensionMismatchError("row and column graphs must share N")
     n = row_precision.size
-    cinv_row = _inverse_cholesky(row_precision)
     cinv_col = _inverse_cholesky(col_precision)
-    gen = np.random.Generator(np.random.Philox(seed))
-    z = _box_muller(gen, count * n * n).reshape(count * n, n)
-    zb = (z @ cinv_row).reshape(count, n, n)
+    (zb,) = _gmrf_chunks(row_precision, count * n, seed, count * n)
     # left-multiply every block by C_col^{-T} in one product over the (n, count*n) layout
-    out = cinv_col.T @ zb.transpose(1, 0, 2).reshape(n, count * n)
+    out = cinv_col.T @ zb.reshape(count, n, n).transpose(1, 0, 2).reshape(n, count * n)
     return out.reshape(n, count, n).transpose(1, 0, 2)
 
 
@@ -242,8 +230,8 @@ def quantize_roundtrip_distortion(
     entropy is the empirical first-order entropy of the integer indices in
     bits per sample.
     """
-    if step <= 0:
-        raise InvalidParameterError(f"step must be positive, got {step}")
+    if not 0 < step < math.inf:
+        raise InvalidParameterError(f"step must be positive and finite, got {step}")
     blocks = np.asarray(blocks, dtype=float)
     if blocks.ndim == 2:
         blocks = blocks[None]

@@ -61,6 +61,8 @@ def make_dataset(blocks: np.ndarray) -> ResidualDataset:
 def write_gbsr(path, dataset: ResidualDataset) -> None:
     samples = dataset.blocks
     if not np.issubdtype(samples.dtype, np.integer):
+        if not np.isfinite(samples).all():
+            raise DatasetFormatError("residual samples must be finite")
         samples = np.rint(samples)
     if samples.min() < -32768 or samples.max() > 32767:
         raise DatasetFormatError("residual samples do not fit in i16")

@@ -41,6 +41,8 @@ class SampleCovariance:
         m = self.matrix
         if m.shape != (self.size, self.size):
             raise DegenerateInputError(f"covariance shape {m.shape} does not match N={self.size}")
+        if not np.isfinite(m).all():
+            raise DegenerateInputError("covariance has non-finite entries")
         scale = max(1.0, float(np.abs(m).max()))
         if np.abs(m - m.T).max() > 1e-12 * scale:
             raise DegenerateInputError("covariance is not symmetric")

@@ -11,7 +11,6 @@ import pytest
 
 import gbst
 from gbst.coding import (
-    GMRFModel,
     alpha_sweep,
     integerize,
     model_covariance,
@@ -143,7 +142,7 @@ def test_criterion_7_statistical_recovery():
     results = []
     for n, v in cases:
         lap = build_ggl(GraphParams(1.0, v, L1), n)
-        s = sample_covariance(GMRFModel(lap, seed=12345), 1_000_000)
+        s = sample_covariance(lap, 1_000_000, seed=12345)
         alpha = refine(solve_ml(s, L1), n).alpha
         assert alpha == v, f"N={n}: expected alpha {v}, got {alpha}"
         results.append(f"alpha_{n}={alpha}")
@@ -152,7 +151,7 @@ def test_criterion_7_statistical_recovery():
 
 def test_criterion_8_sweep_unimodality():
     lap = build_ggl(GraphParams(1.0, 0.75, L1), 16)
-    s = sample_covariance(GMRFModel(lap, seed=7), 200_000)
+    s = sample_covariance(lap, 200_000, seed=7)
     alphas = [i * 0.25 for i in range(9)]
     rows = alpha_sweep(s, 16, L1, alphas)
     gains = [m.coding_gain_db for _, m in rows]

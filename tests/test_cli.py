@@ -156,6 +156,33 @@ def test_sweep_non_finite_alphas_is_usage_error(capsys, spec):
     assert "--alphas parts must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["0:0.25:1e9", "0:0.25:1024", "-1e308:0.25:1e308"])
+def test_sweep_alpha_range_bounded_before_it_is_built(capsys, monkeypatch, spec):
+    # a range past the bound must be refused before a list of its points exists
+    def no_list(*args):
+        raise AssertionError("alpha list built")
+
+    monkeypatch.setattr(cli, "range", no_list, raising=False)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--n", "8", f"--alphas={spec}", "--model-v", "1"])
+    assert exc.value.code == 2
+    assert "has more than 4096 points" in capsys.readouterr().err
+
+
+def test_sweep_alpha_range_overflowing_negative_span_is_empty(capsys):
+    # end - start overflows to -inf
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--n", "8", "--alphas", "1e308:0.25:-1e308", "--model-v", "1"])
+    assert exc.value.code == 2
+    assert "is empty" in capsys.readouterr().err
+
+
+def test_sweep_alpha_range_at_bound(capsys):
+    code, out, _ = run(capsys, "sweep", "--n", "2", "--alphas", "0:0.25:1023.75", "--model-v", "1")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 4096
+
+
 def test_gen_matrix(tmp_path, capsys):
     out_file = tmp_path / "table.txt"
     code, _, _ = run(capsys, "gen-matrix", "--kind", "DST7", "--n", "4", "--out", str(out_file))
@@ -180,6 +207,15 @@ def test_sample_deterministic(tmp_path, capsys):
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
     assert np.loadtxt(a).shape == (10, 4)
+
+
+def test_sample_huge_count_exits_3(capsys):
+    # the (count, N) output is allocated before the first draw, so this fails at once
+    code, out, err = run(capsys, "sample", "--w", "1", "--v", "1", "--n", "64",
+                         "--count", "1000000000000000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_error_exit_code(capsys):

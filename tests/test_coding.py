@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gbst.coding import (
-    GMRFModel,
     _box_muller,
     alpha_sweep,
     evaluate_metrics,
@@ -41,25 +40,25 @@ def test_round_half_away():
 
 def test_sample_gmrf_deterministic():
     lap = build_ggl(GraphParams(1, 1, L1), 4)
-    a = sample_gmrf(GMRFModel(lap, seed=7), 100)
-    b = sample_gmrf(GMRFModel(lap, seed=7), 100)
+    a = sample_gmrf(lap, 100, seed=7)
+    b = sample_gmrf(lap, 100, seed=7)
     assert a.tobytes() == b.tobytes()
-    c = sample_gmrf(GMRFModel(lap, seed=8), 100)
+    c = sample_gmrf(lap, 100, seed=8)
     assert a.tobytes() != c.tobytes()
 
 
 def test_sample_gmrf_single():
     lap = build_ggl(GraphParams(1, 1, L1), 4)
-    x = sample_gmrf(GMRFModel(lap, seed=1), 1)
+    x = sample_gmrf(lap, 1, seed=1)
     assert x.shape == (1, 4)
     assert np.all(np.isfinite(x))
     with pytest.raises(InvalidParameterError):
-        sample_gmrf(GMRFModel(lap, seed=1), 0)
+        sample_gmrf(lap, 0, seed=1)
 
 
 def test_sample_gmrf_covariance_mc():
     lap = build_ggl(GraphParams(1, 1, L1), 4)
-    x = sample_gmrf(GMRFModel(lap, seed=99), 1_000_000)
+    x = sample_gmrf(lap, 1_000_000, seed=99)
     s = x.T @ x / len(x)
     linv = model_covariance(lap).matrix
     se = np.sqrt((linv**2 + np.outer(np.diag(linv), np.diag(linv))) / len(x))
@@ -68,18 +67,33 @@ def test_sample_gmrf_covariance_mc():
 
 def test_streaming_covariance_matches_batch():
     lap = build_ggl(GraphParams(1, 0.5, L2), 8)
-    x = sample_gmrf(GMRFModel(lap, seed=5), 10_000)
-    s = sample_covariance(GMRFModel(lap, seed=5), 10_000)
+    x = sample_gmrf(lap, 10_000, seed=5)
+    s = sample_covariance(lap, 10_000, seed=5)
     assert np.allclose(s.matrix, x.T @ x / len(x), atol=1e-12)
+
+
+_PD = build_ggl(GraphParams(1, 1, L1), 4)
+# each sampler as draw(precision, count); sample_gmrf_blocks once per precision slot
+SAMPLERS = {
+    "gmrf": lambda lap, count: sample_gmrf(lap, count, seed=0),
+    "covariance": lambda lap, count: sample_covariance(lap, count, seed=0),
+    "blocks-row": lambda lap, count: sample_gmrf_blocks(lap, _PD, count, seed=0),
+    "blocks-col": lambda lap, count: sample_gmrf_blocks(_PD, lap, count, seed=0),
+}
 
 
 def test_non_pd_precision_rejected():
     singular = build_ggl(GraphParams(1, 0, L1), 4)
-    with pytest.raises(NonPositiveDefiniteError):
-        GMRFModel(singular, seed=0)
-    # sample_gmrf_blocks takes bare Laplacians; its Cholesky factorization is the check
-    with pytest.raises(NonPositiveDefiniteError):
-        sample_gmrf_blocks(singular, build_ggl(GraphParams(1, 1, L1), 4), 5, seed=0)
+    for draw in SAMPLERS.values():
+        with pytest.raises(NonPositiveDefiniteError, match="minor 4 is not positive"):
+            draw(singular, 5)
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+@pytest.mark.parametrize("count", [0, -1])
+def test_samplers_reject_count_below_one(name, count):
+    with pytest.raises(InvalidParameterError):
+        SAMPLERS[name](_PD, count)
 
 
 def _philox_draws(seed, sizes):
@@ -92,7 +106,7 @@ def _philox_draws(seed, sizes):
 def test_sample_gmrf_pins_philox_stream(n, count, chunk):
     # x = g C^{-1} with L = C C^T, so x C gives back the Box-Muller draws g
     lap = build_ggl(GraphParams(1.3, 0.7, L2), n)
-    x = sample_gmrf(GMRFModel(lap, seed=11), count, chunk=chunk)
+    x = sample_gmrf(lap, count, seed=11, chunk=chunk)
     sizes = [min(chunk, count - start) * n for start in range(0, count, chunk)]
     g = np.concatenate(_philox_draws(11, sizes)).reshape(count, n)
     assert np.abs(x @ np.linalg.cholesky(dense_form(lap)) - g).max() <= 1e-12
@@ -248,6 +262,13 @@ def test_quantize_invalid_step():
     t = trig_matrix(K.DCT2, 4)
     with pytest.raises(InvalidParameterError):
         quantize_roundtrip_distortion(np.zeros((1, 4, 4)), t, t, 0.0)
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf")])
+def test_quantize_non_finite_step_rejected(step):
+    t = trig_matrix(K.DCT2, 4)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        quantize_roundtrip_distortion(np.zeros((1, 4, 4)), t, t, step)
 
 
 def test_matched_transform_beats_dct2_at_equal_entropy():

@@ -54,6 +54,16 @@ def test_samples_out_of_i16_range(tmp_path):
         write_gbsr(tmp_path / "x.gbsr", make_dataset(np.full((1, 2, 2), 40000.0)))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_samples_rejected(tmp_path, bad):
+    blocks = np.zeros((2, 2, 2))
+    blocks[1, 0, 1] = bad
+    path = tmp_path / "x.gbsr"
+    with pytest.raises(DatasetFormatError, match="finite"):
+        write_gbsr(path, make_dataset(blocks))
+    assert not path.exists()
+
+
 def test_make_dataset_validation():
     with pytest.raises(EmptyDatasetError):
         make_dataset(np.zeros((0, 4, 4)))

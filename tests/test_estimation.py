@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gbst.estimation as estimation
-from gbst.coding import GMRFModel, model_covariance, sample_gmrf, sample_gmrf_blocks
+from gbst.coding import model_covariance, sample_gmrf, sample_gmrf_blocks
 from gbst.dataset import ResidualDataset, make_dataset
 from gbst.errors import (
     DatasetTooLargeError,
@@ -42,6 +42,17 @@ def test_covariance_validation():
         SampleCovariance(2, np.array([[1.0, 0.5], [0.0, 1.0]]))  # asymmetric
     with pytest.raises(DegenerateInputError):
         SampleCovariance(2, np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_covariance_rejected(bad):
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        SampleCovariance(2, np.array([[bad, 0.0], [0.0, 1.0]]))
+    blocks = np.ones((3, 4, 4))
+    blocks[1, 2, 3] = bad
+    for direction in ("row", "col"):
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            residual_covariances(make_dataset(blocks), (direction,))
 
 
 def test_residual_covariances_identity_block():
@@ -145,7 +156,7 @@ def test_constant_rows_fail_fast():
 
 def test_row_covariance_matches_gmrf_inverse():
     lap = build_ggl(GraphParams(1, 1, L1), 4)
-    x = sample_gmrf(GMRFModel(lap, seed=11), 10_000)
+    x = sample_gmrf(lap, 10_000, seed=11)
     blocks = x.reshape(-1, 4, 4)
     row_cov, _ = residual_covariances(make_dataset(blocks))
     linv = model_covariance(lap).matrix
@@ -253,7 +264,7 @@ def test_exact_recovery(n, family):
 
 def test_statistical_recovery_small():
     lap = build_ggl(GraphParams(1, 2, L2), 4)
-    x = sample_gmrf(GMRFModel(lap, seed=21), 1_000_000)
+    x = sample_gmrf(lap, 1_000_000, seed=21)
     s = SampleCovariance(4, x.T @ x / len(x))
     sol = solve_ml(s, L2)
     assert 1.9 <= sol.ratio <= 2.1
