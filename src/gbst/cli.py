@@ -162,13 +162,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gbst")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="check all graph/trig correspondences")
-    p.set_defaults(run=cmd_verify)
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        # each command gets its own subparser, so its usage errors name the subcommand
+        p.set_defaults(run=run, parser=p)
+        return p
+
+    p = command("verify", cmd_verify, "check all graph/trig correspondences")
     p.add_argument("--kind", choices=[k.value for k in TrigTransformKind])
     p.add_argument("--n", type=int)
 
-    p = sub.add_parser("basis", help="dump a transform basis")
-    p.set_defaults(run=cmd_basis)
+    p = command("basis", cmd_basis, "dump a transform basis")
     p.add_argument("--family", choices=["L1", "L2"], default="L1")
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
@@ -176,22 +180,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--plot-data", dest="plot_data")
 
-    p = sub.add_parser("learn", help="fit graph parameters to a GBSR dataset")
-    p.set_defaults(run=cmd_learn)
+    p = command("learn", cmd_learn, "fit graph parameters to a GBSR dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--family", choices=["L1", "L2"], default="L1")
     p.add_argument("--direction", choices=["row", "col"], default="row")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("refine", help="normalize and round a parameter pair")
-    p.set_defaults(run=cmd_refine)
+    p = command("refine", cmd_refine, "normalize and round a parameter pair")
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("sweep", help="coding metrics across the alpha grid")
-    p.set_defaults(run=cmd_sweep)
+    p = command("sweep", cmd_sweep, "coding metrics across the alpha grid")
     p.add_argument("--n", type=int, help="block size; defaults to the --data file's")
     p.add_argument("--family", choices=["L1", "L2"], default="L1")
     p.add_argument("--alphas", required=True, help="start:step:end, step a multiple of 0.25")
@@ -199,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--out")
 
-    p = sub.add_parser("gen-matrix", help="8-bit integer transform table")
-    p.set_defaults(run=cmd_gen_matrix)
+    p = command("gen-matrix", cmd_gen_matrix, "8-bit integer transform table")
     p.add_argument("--kind", choices=[k.value for k in TrigTransformKind])
     p.add_argument("--family", choices=["L1", "L2"], default="L1")
     p.add_argument("--w", type=float)
@@ -208,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("sample", help="draw reproducible GMRF vectors")
-    p.set_defaults(run=cmd_sample)
+    p = command("sample", cmd_sample, "draw reproducible GMRF vectors")
     p.add_argument("--family", choices=["L1", "L2"], default="L1")
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
@@ -225,7 +224,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args, parser)
+        return args.run(args, args.parser)
     except (GBSTError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

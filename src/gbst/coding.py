@@ -21,7 +21,7 @@ from .errors import (
 )
 from .estimation import SampleCovariance, logdet_tridiagonal
 from .graph import GraphFamily, GraphParams, LineGraphLaplacian, build_ggl, dense_form
-from .spectral import TransformMatrix, apply_separable, derive_gbt, inverse_separable
+from .spectral import TransformMatrix, derive_gbt
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,9 @@ class CodingMetrics:
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, ties away from zero (not banker's)."""
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    r = np.floor(np.abs(x) + 0.5)
+    r *= np.sign(x)  # in place: one full-size temporary fewer on a block stack
+    return r
 
 
 def _box_muller(gen: np.random.Generator, count: int) -> np.ndarray:
@@ -235,17 +237,23 @@ def quantize_roundtrip_distortion(
     blocks = np.asarray(blocks, dtype=float)
     if blocks.ndim == 2:
         blocks = blocks[None]
-    sq_err = 0.0
-    indices = []
-    for x in blocks:
-        coeffs = apply_separable(x, row_t, col_t)
-        q = round_half_away(coeffs / step)
-        rec = inverse_separable(q * step, row_t, col_t)
-        sq_err += float(((x - rec) ** 2).sum())
-        indices.append(q.astype(np.int64).ravel())
-    total = blocks.size
-    all_idx = np.concatenate(indices)
-    _, counts = np.unique(all_idx, return_counts=True)
+    if blocks.shape[1:] != (col_t.size, row_t.size) or row_t.size != col_t.size:
+        raise DimensionMismatchError(
+            f"block {blocks.shape[1:]} vs transforms ({col_t.size}, {row_t.size})"
+        )
+    if len(blocks) == 0:
+        raise InvalidParameterError("no blocks to quantize")
+    # one product over the whole stack: U_col^T X U_row per block, and back;
+    # in place where possible, so the stack has few full-size temporaries
+    coeffs = col_t.basis.T @ blocks @ row_t.basis
+    coeffs /= step
+    q = round_half_away(coeffs)
+    del coeffs
+    _, counts = np.unique(q, return_counts=True)  # q holds integers; -0.0 counts as 0
+    q *= step
+    err = col_t.basis @ q @ row_t.basis.T
+    err -= blocks
+    mse = float(np.square(err, out=err).sum()) / blocks.size
     p = counts / counts.sum()
     entropy = float(-(p * np.log2(p)).sum())
-    return sq_err / total, entropy
+    return mse, entropy

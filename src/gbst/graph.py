@@ -19,6 +19,8 @@ from .errors import InvalidDimensionError, InvalidParameterError
 
 N_MIN = 2
 N_MAX = 64
+# values per % call in matrix_text
+_TEXT_BLOCK = 1 << 15
 
 
 class GraphFamily(Enum):
@@ -121,4 +123,12 @@ def tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray) -> np.ndarray:
 
 def matrix_text(m: np.ndarray) -> str:
     """Row-major text form: one row per line, space-separated, 17 significant digits."""
-    return "\n".join(" ".join(f"{x:.17g}" for x in row) for row in np.atleast_2d(m)) + "\n"
+    m = np.atleast_2d(m)
+    n = m.shape[1]
+    row = " ".join(["%.17g"] * n) + "\n"
+    # One % call per block of rows runs the same routine as format(x, ".17g"), so
+    # the bytes match, without a Python call per value.  Blocks bound the tuple
+    # and string temporaries that one call over the whole array would hold.
+    step = max(1, _TEXT_BLOCK // max(n, 1))
+    blocks = (m[i : i + step] for i in range(0, len(m), step))
+    return "".join((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks) or "\n"

@@ -43,13 +43,10 @@ class TransformMatrix:
 
 def canonical_signs(basis: np.ndarray) -> np.ndarray:
     """Flip columns so the first entry with |.| > 1e-12 is positive."""
-    out = basis.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.nonzero(np.abs(col) > SIGN_EPS)[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, k] = -col
-    return out
+    big = np.abs(basis) > SIGN_EPS
+    first = big.argmax(axis=0)  # 0 for a column with no such entry; ``big.any`` masks it
+    flip = big.any(axis=0) & (basis[first, np.arange(basis.shape[1])] < 0)
+    return np.where(flip, -basis, basis)
 
 
 def derive_gbt(lap: LineGraphLaplacian) -> TransformMatrix:

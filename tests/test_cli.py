@@ -312,6 +312,28 @@ def test_sweep_model_needs_n(capsys):
     assert "--n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sweep", "--n", "8", "--model-v", "1", "--alphas", "0:0.25:1e9"],
+         "--alphas range '0:0.25:1e9' has more than 4096 points"),
+        (["sweep", "--n", "8", "--model-v", "1", "--alphas", "x"],
+         "--alphas must be start:step:end, got 'x'"),
+        (["sweep", "--alphas", "0:0.25:1"], "sweep needs --data or --model-v"),
+        (["sweep", "--alphas", "0:0.25:1", "--model-v", "1"], "sweep --model-v needs --n"),
+        (["gen-matrix", "--n", "8"], "gen-matrix needs --kind or both --w and --v"),
+    ],
+)
+def test_command_usage_errors_name_the_subcommand(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: gbst {argv[0]} [-h] ")
+    assert err.endswith(f"\ngbst {argv[0]}: error: {message}\n")
+
+
 def test_import_loads_no_scipy():
     package = os.path.dirname(cli.__file__)
     code = "import sys, gbst, gbst.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -23,7 +23,7 @@ from gbst.errors import (
 )
 from gbst.estimation import SampleCovariance
 from gbst.graph import GraphFamily, GraphParams, build_ggl, dense_form
-from gbst.spectral import TransformMatrix, derive_gbt
+from gbst.spectral import TransformMatrix, apply_separable, derive_gbt, inverse_separable
 from gbst.trig import TrigTransformKind, trig_matrix
 
 L1, L2 = GraphFamily.L1, GraphFamily.L2
@@ -249,6 +249,48 @@ def test_quantize_small_step_noise_bound():
     eff_step = step * 1e3
     mse, _ = quantize_roundtrip_distortion(blocks, t, t, eff_step)
     assert mse <= eff_step**2 / 12 * (1 + 1e-3)
+
+
+def per_block_quantize(blocks, row_t, col_t, step):
+    """The per-block reference loop the batched quantizer must match."""
+    blocks = np.asarray(blocks, dtype=float)
+    if blocks.ndim == 2:
+        blocks = blocks[None]
+    sq_err, indices = 0.0, []
+    for x in blocks:
+        q = round_half_away(apply_separable(x, row_t, col_t) / step)
+        sq_err += float(((x - inverse_separable(q * step, row_t, col_t)) ** 2).sum())
+        indices.append(q.astype(np.int64).ravel())
+    _, counts = np.unique(np.concatenate(indices), return_counts=True)
+    p = counts / counts.sum()
+    return sq_err / blocks.size, float(-(p * np.log2(p)).sum())
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+@pytest.mark.parametrize("step", [np.pi, 4.0])
+@pytest.mark.parametrize("stack", [(), (37,)])
+def test_quantize_matches_per_block_loop(n, step, stack):
+    # MSE sums in another order than the loop (roundoff only); the indices are equal
+    row_t = derive_gbt(build_ggl(GraphParams(1, 0.9, L1), n))
+    col_t = derive_gbt(build_ggl(GraphParams(1, 1.4, L2), n))
+    blocks = 30 * np.random.default_rng(n).standard_normal(stack + (n, n))
+    mse, entropy = quantize_roundtrip_distortion(blocks, row_t, col_t, step)
+    want_mse, want_entropy = per_block_quantize(blocks, row_t, col_t, step)
+    assert abs(mse - want_mse) <= 1e-12 * want_mse
+    assert entropy == want_entropy
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 4, 8), (3, 8, 8), (1, 2, 4, 4)])
+def test_quantize_rejects_block_shape(shape):
+    t = trig_matrix(K.DCT2, 4)
+    with pytest.raises(DimensionMismatchError, match="vs transforms"):
+        quantize_roundtrip_distortion(np.zeros(shape), t, t, 1.0)
+
+
+def test_quantize_rejects_empty_stack():
+    t = trig_matrix(K.DCT2, 4)
+    with pytest.raises(InvalidParameterError, match="no blocks"):
+        quantize_roundtrip_distortion(np.zeros((0, 4, 4)), t, t, 1.0)
 
 
 def test_quantize_zero_blocks():

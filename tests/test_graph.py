@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gbst.errors import InvalidDimensionError, InvalidParameterError
 from gbst.graph import GraphFamily, GraphParams, build_ggl, dense_form, matrix_text
@@ -86,6 +89,60 @@ def test_dense_text_format():
     assert lines == ["2 -1", "-1 1"]
     parsed = np.loadtxt(text.strip().split("\n"))
     assert np.array_equal(parsed, [[2, -1], [-1, 1]])
+
+
+def per_value_text(m):
+    """The per-value reference matrix_text must match byte for byte."""
+    return "\n".join(" ".join(f"{x:.17g}" for x in row) for row in np.atleast_2d(m)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (0.0, "0"),
+        (-0.0, "-0"),
+        (5e-324, "4.9406564584124654e-324"),
+        (-5e-324, "-4.9406564584124654e-324"),
+        (2.5e-308, "2.4999999999999998e-308"),
+        (1e300, "1.0000000000000001e+300"),
+        (-1e300, "-1.0000000000000001e+300"),
+        (3.0, "3"),
+        (0.1, "0.10000000000000001"),
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+    ],
+)
+def test_matrix_text_value_bytes(value, text):
+    m = np.array([[value, 1.0], [2.0, value]])
+    assert matrix_text(m) == f"{text} 1\n2 {text}\n" == per_value_text(m)
+
+
+def test_matrix_text_promotes_1d_and_0d():
+    assert matrix_text(np.array([0.5, -2.0, 3.0])) == "0.5 -2 3\n"
+    assert matrix_text(np.float64(-0.25)) == "-0.25\n"
+
+
+def test_matrix_text_no_rows():
+    assert matrix_text(np.empty((0, 8))) == "\n" == per_value_text(np.empty((0, 8)))
+
+
+@st.composite
+def text_matrices(draw):
+    # up to three 2^15-value blocks and one row more; the rows around a block's
+    # end are drawn on purpose, so shapes on both sides of a boundary occur
+    n = draw(st.sampled_from([1, 2, 3, 8, 64]))
+    per_block = (1 << 15) // n
+    edges = [per_block - 1, per_block, per_block + 1, 2 * per_block + 1]
+    rows = draw(st.sampled_from(edges) | st.integers(1, 3 * per_block + 1))
+    fill = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    return draw(hnp.arrays(np.float64, (rows, n), elements=fill))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=text_matrices())
+def test_matrix_text_matches_per_value_format(m):
+    assert matrix_text(m) == per_value_text(m)
 
 
 def test_immutability():

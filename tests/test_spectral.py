@@ -85,6 +85,31 @@ def test_derive_gbt_properties(n, family, w, alpha, seed):
     assert np.abs(integerize(t).entries).max() <= 127
 
 
+def per_column_signs(basis):
+    """The per-column reference loop canonical_signs must match byte for byte."""
+    out = basis.copy()
+    for k in range(out.shape[1]):
+        nz = np.nonzero(np.abs(out[:, k]) > SIGN_EPS)[0]
+        if nz.size and out[nz[0], k] < 0:
+            out[:, k] = -out[:, k]
+    return out
+
+
+def test_canonical_signs_matches_per_column_loop():
+    alphas = [i * 0.25 for i in range(9)] + [3.0, 8.0]
+    for n in range(2, 65):
+        for family in (L1, L2):
+            for alpha in alphas:
+                _, vecs = np.linalg.eigh(dense_form(build_ggl(GraphParams(1.0, alpha, family), n)))
+                for u in (vecs, -vecs):
+                    assert canonical_signs(u).tobytes() == per_column_signs(u).tobytes()
+    # columns: all zero; a negative lead below SIGN_EPS before a positive entry (kept); a
+    # negative lead just above it (flipped); only entries below SIGN_EPS, negative first (kept)
+    odd = np.array([[0.0, -1e-13, 0.0, -1e-13], [0.0, 0.5, -0.0, 5e-13], [0.0, -0.5, -2e-12, 0.0]])
+    for u in (np.zeros((5, 5)), odd):
+        assert canonical_signs(u).tobytes() == per_column_signs(u).tobytes()
+
+
 def test_sign_convention():
     t = derive_gbt(build_ggl(GraphParams(1, 2, L2), 8))
     for k in range(8):
