@@ -11,6 +11,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import coding, estimation, trig
 from .dataset import read_gbsr
 from .errors import GBSTError
@@ -33,7 +35,7 @@ def _write(path, text: str) -> None:
 
 def cmd_verify(args, parser) -> int:
     kinds = [TrigTransformKind(args.kind)] if args.kind else list(trig.CORRESPONDENCE)
-    sizes = [args.n] if args.n else list(VERIFY_SIZES)
+    sizes = [args.n] if args.n is not None else list(VERIFY_SIZES)
     failed = False
     for kind in kinds:
         ratio, family = trig.CORRESPONDENCE[kind]
@@ -52,11 +54,9 @@ def cmd_basis(args, parser) -> int:
     t = derive_gbt(lap)
     _write(args.out, gbt_dump(t, lap))
     if args.plot_data:
-        lines = []
-        for k in range(t.size):
-            lines.append(f"# k={k}")
-            lines.extend(f"{n} {t.basis[n, k]:.17g}" for n in range(t.size))
-        _write(args.plot_data, "\n".join(lines) + "\n")
+        idx = np.arange(t.size)
+        blocks = (f"# k={k}\n" + matrix_text(np.column_stack((idx, t.basis[:, k]))) for k in idx)
+        _write(args.plot_data, "".join(blocks))
     return 0
 
 

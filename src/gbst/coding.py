@@ -20,7 +20,7 @@ from .errors import (
     NonPositiveDefiniteError,
 )
 from .estimation import SampleCovariance, logdet_tridiagonal
-from .graph import GraphFamily, GraphParams, LineGraphLaplacian, build_ggl, dense_form
+from .graph import GraphFamily, GraphParams, LineGraphLaplacian, build_ggl, dense_form, matrix_text
 from .spectral import TransformMatrix, derive_gbt
 
 
@@ -64,7 +64,7 @@ def _box_muller(gen: np.random.Generator, count: int) -> np.ndarray:
 def _inverse_cholesky(lap: LineGraphLaplacian) -> np.ndarray:
     """C^{-1} for the lower Cholesky factor L = C C^T; rows g C^{-1} have covariance L^{-1}."""
     # pivot recurrence doubles as the positive-definiteness check
-    logdet_tridiagonal(lap.diagonal, lap.off_diagonal)
+    logdet_tridiagonal(lap)
     try:
         return np.linalg.inv(np.linalg.cholesky(dense_form(lap)))
     except np.linalg.LinAlgError as exc:
@@ -80,6 +80,8 @@ def _gmrf_chunks(precision: LineGraphLaplacian, count: int, seed: int, chunk: in
     """
     if count < 1:
         raise InvalidParameterError(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     n = precision.size
     cinv = _inverse_cholesky(precision)
     gen = np.random.Generator(np.random.Philox(seed))
@@ -131,7 +133,7 @@ def sample_gmrf_blocks(
 
 def model_covariance(lap: LineGraphLaplacian) -> SampleCovariance:
     """Exact covariance L^{-1} of the GMRF with precision L."""
-    logdet_tridiagonal(lap.diagonal, lap.off_diagonal)
+    logdet_tridiagonal(lap)
     return SampleCovariance(size=lap.size, matrix=np.linalg.inv(dense_form(lap)))
 
 
@@ -216,8 +218,7 @@ def integerize(t: TransformMatrix) -> IntTransformMatrix:
 
 def int_matrix_text(m: IntTransformMatrix) -> str:
     header = f"INTGBT N={m.size} shift={m.scale_shift:g}"
-    body = "\n".join(" ".join(str(int(x)) for x in row) for row in m.entries)
-    return header + "\n" + body + "\n"
+    return header + "\n" + matrix_text(m.entries)
 
 
 def quantize_roundtrip_distortion(
@@ -243,6 +244,8 @@ def quantize_roundtrip_distortion(
         )
     if len(blocks) == 0:
         raise InvalidParameterError("no blocks to quantize")
+    if not np.isfinite(blocks).all():
+        raise InvalidParameterError("blocks must be finite")
     # one product over the whole stack: U_col^T X U_row per block, and back;
     # in place where possible, so the stack has few full-size temporaries
     coeffs = col_t.basis.T @ blocks @ row_t.basis

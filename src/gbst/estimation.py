@@ -27,7 +27,7 @@ from .errors import (
     InvalidParameterError,
     NonPositiveDefiniteError,
 )
-from .graph import GraphFamily, GraphParams, build_ggl
+from .graph import GraphFamily, GraphParams, LineGraphLaplacian, build_ggl
 
 
 @dataclass(frozen=True)
@@ -138,14 +138,15 @@ def residual_covariances(
     return tuple(SampleCovariance(size=n, matrix=totals[d] / (m * n)) for d in directions)
 
 
-def logdet_tridiagonal(diag: np.ndarray, off: np.ndarray) -> float:
-    """log det of a symmetric tridiagonal matrix via the pivot recurrence.
+def logdet_tridiagonal(lap: LineGraphLaplacian) -> float:
+    """log det of the Laplacian's tridiagonal matrix via the pivot recurrence.
 
     Runs the leading-principal-minor recurrence in ratio form
     r_k = a_k - b_{k-1}^2 / r_{k-1} (so d_k = r_k d_{k-1}) and sums logs,
     which is overflow-free.  Any nonpositive pivot means the matrix is
     not positive definite.
     """
+    diag, off = lap.diagonal, lap.off_diagonal
     r = diag[0]
     if r <= 0:
         raise NonPositiveDefiniteError("leading minor is not positive")
@@ -158,18 +159,16 @@ def logdet_tridiagonal(diag: np.ndarray, off: np.ndarray) -> float:
     return acc
 
 
-def _band_trace_product(lap_diag, lap_off, m: np.ndarray) -> float:
-    """Tr(T m) for symmetric tridiagonal T given by its band."""
-    n = len(lap_diag)
-    idx = np.arange(n - 1)
-    return float(lap_diag @ np.diag(m) + 2.0 * lap_off @ m[idx, idx + 1])
+def _band_trace_product(lap: LineGraphLaplacian, m: np.ndarray) -> float:
+    """Tr(L m) for the Laplacian's symmetric tridiagonal matrix L."""
+    idx = np.arange(lap.size - 1)
+    return float(lap.diagonal @ np.diag(m) + 2.0 * lap.off_diagonal @ m[idx, idx + 1])
 
 
 def ml_objective(params: GraphParams, cov: SampleCovariance) -> float:
     """Tr(L S) - logdet L at an interior point (w > 0, v > 0)."""
     lap = build_ggl(params, cov.size)
-    tr = _band_trace_product(lap.diagonal, lap.off_diagonal, cov.matrix)
-    return tr - logdet_tridiagonal(lap.diagonal, lap.off_diagonal)
+    return _band_trace_product(lap, cov.matrix) - logdet_tridiagonal(lap)
 
 
 def _path_trace(cov: SampleCovariance) -> float:
@@ -177,10 +176,8 @@ def _path_trace(cov: SampleCovariance) -> float:
 
     It is the summed second moment of the adjacent differences x_i - x_{i+1}.
     """
-    n = cov.size
-    pat_diag = np.full(n, 2.0)
-    pat_diag[0] = pat_diag[-1] = 1.0
-    return _band_trace_product(pat_diag, np.full(n - 1, -1.0), cov.matrix)
+    path = build_ggl(GraphParams(1.0, 0.0, GraphFamily.L1), cov.size)
+    return _band_trace_product(path, cov.matrix)
 
 
 def ml_gradient(params: GraphParams, cov: SampleCovariance) -> tuple[float, float]:

@@ -3,8 +3,8 @@
 The model space is a path graph on N vertices with constant edge weight
 ``w`` and a single self-loop of weight ``v`` placed at one boundary
 vertex: at vertex 0 for family L1, at vertex N-1 for family L2.  The
-resulting generalized Laplacian is symmetric tridiagonal, so only the
-diagonal and the (constant) off-diagonal are stored.
+resulting generalized Laplacian is symmetric tridiagonal; it is fully
+defined by the parameters and N, and its band is derived from them.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -44,6 +45,14 @@ class GraphParams:
     family: GraphFamily
 
     def __post_init__(self):
+        if not (isinstance(self.edge_weight, Real) and isinstance(self.vertex_weight, Real)):
+            raise InvalidParameterError(
+                f"graph weights must be real numbers, got "
+                f"w={self.edge_weight!r}, v={self.vertex_weight!r}"
+            )
+        # stored as plain floats, so equal parameters always define equal bands
+        object.__setattr__(self, "edge_weight", float(self.edge_weight))
+        object.__setattr__(self, "vertex_weight", float(self.vertex_weight))
         if self.edge_weight < 0 or self.vertex_weight < 0:
             raise InvalidParameterError(
                 f"graph weights must be nonnegative, got "
@@ -63,19 +72,29 @@ class GraphParams:
 class LineGraphLaplacian:
     """Symmetric tridiagonal generalized Laplacian of a weighted line graph.
 
-    Stored in band form: ``diagonal`` has length N, ``off_diagonal`` has
-    length N-1 with every entry equal to ``-w``.  Immutable after
-    construction; the arrays are marked read-only.
+    The value is ``(params, size)``: equality and hashing see only those.
+    The band is derived from them on construction: ``diagonal`` has length
+    N with interior entries 2w, boundary entries w and the self-loop weight
+    v added at vertex 0 (L1) or vertex N-1 (L2); ``off_diagonal`` has
+    length N-1 with every entry equal to ``-w``.  Both arrays are read-only.
     """
 
+    params: GraphParams
     size: int
-    diagonal: np.ndarray
-    off_diagonal: np.ndarray
-    params: GraphParams = field(repr=False)
+    diagonal: np.ndarray = field(init=False, compare=False, repr=False)
+    off_diagonal: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.diagonal.setflags(write=False)
-        self.off_diagonal.setflags(write=False)
+        check_size(self.size)
+        n, w, v = self.size, self.params.edge_weight, self.params.vertex_weight
+        diag = np.full(n, 2.0 * w)
+        diag[0] = w
+        diag[-1] = w
+        diag[self.self_loop_vertex] += v
+        off = np.full(n - 1, -w)
+        for name, band in (("diagonal", diag), ("off_diagonal", off)):
+            band.setflags(write=False)
+            object.__setattr__(self, name, band)
 
     @property
     def self_loop_vertex(self) -> int:
@@ -89,35 +108,16 @@ def check_size(n: int) -> None:
 
 
 def build_ggl(params: GraphParams, n: int) -> LineGraphLaplacian:
-    """Build the tridiagonal Laplacian for the given parameters and size.
-
-    The interior diagonal is 2w, the boundary entries are w, and the
-    self-loop weight v is added at vertex 0 (L1) or vertex N-1 (L2).
-    """
-    check_size(n)
-    w, v = params.edge_weight, params.vertex_weight
-    diag = np.full(n, 2.0 * w)
-    diag[0] = w
-    diag[-1] = w
-    if params.family is GraphFamily.L1:
-        diag[0] += v
-    else:
-        diag[-1] += v
-    off = np.full(n - 1, -w)
-    return LineGraphLaplacian(size=n, diagonal=diag, off_diagonal=off, params=params)
+    """The Laplacian of the line graph with these parameters on ``n`` vertices."""
+    return LineGraphLaplacian(params, n)
 
 
 def dense_form(lap: LineGraphLaplacian) -> np.ndarray:
     """Dense N x N matrix with the band laid out on the three main diagonals."""
-    return tridiagonal(lap.diagonal, lap.off_diagonal)
-
-
-def tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray) -> np.ndarray:
-    """Dense symmetric matrix with ``off_diagonal`` on both sides of ``diagonal``."""
-    m = np.diag(diagonal)
-    idx = np.arange(len(diagonal) - 1)
-    m[idx, idx + 1] = off_diagonal
-    m[idx + 1, idx] = off_diagonal
+    m = np.diag(lap.diagonal)
+    idx = np.arange(lap.size - 1)
+    m[idx, idx + 1] = lap.off_diagonal
+    m[idx + 1, idx] = lap.off_diagonal
     return m
 
 

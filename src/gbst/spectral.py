@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DecompositionError, DimensionMismatchError
-from .graph import LineGraphLaplacian, matrix_text, tridiagonal
+from .graph import LineGraphLaplacian, dense_form, matrix_text
 
 SIGN_EPS = 1e-12
 EIGENVALUE_GAP_MIN = 1e-12
@@ -49,6 +49,7 @@ def canonical_signs(basis: np.ndarray) -> np.ndarray:
     return np.where(flip, -basis, basis)
 
 
+@lru_cache(maxsize=GBT_CACHE_SIZE)
 def derive_gbt(lap: LineGraphLaplacian) -> TransformMatrix:
     """Eigendecompose the tridiagonal Laplacian into an orthonormal transform.
 
@@ -56,22 +57,14 @@ def derive_gbt(lap: LineGraphLaplacian) -> TransformMatrix:
     simple (adjacent eigenvalue gap <= 1e-12); degenerate spectra would
     make the basis non-unique and are never silently accepted.
 
-    Results are cached by the band values (not by ``lap.params``, since a
-    Laplacian may be built directly), so equal bands share one read-only
-    TransformMatrix.  Only repeated bands gain: for N > 25 LAPACK's
-    divide-and-conquer step wakes OpenBLAS's thread pool, which then
-    spins for ~0.1 s, so a first decomposition costs more CPU than wall.
+    Results are cached by the Laplacian's value, its parameters and size,
+    so equal graphs share one read-only TransformMatrix.  Only repeated
+    graphs gain: for N > 25 LAPACK's divide-and-conquer step wakes
+    OpenBLAS's thread pool, which then spins for ~0.1 s, so a first
+    decomposition costs more CPU than wall.
     """
-    diagonal = np.asarray(lap.diagonal, dtype=np.float64)
-    off_diagonal = np.asarray(lap.off_diagonal, dtype=np.float64)
-    return _derive_gbt(lap.size, diagonal.tobytes(), off_diagonal.tobytes())
-
-
-@lru_cache(maxsize=GBT_CACHE_SIZE)
-def _derive_gbt(size: int, diagonal: bytes, off_diagonal: bytes) -> TransformMatrix:
-    diagonal = np.frombuffer(diagonal)
     try:
-        vals, vecs = np.linalg.eigh(tridiagonal(diagonal, np.frombuffer(off_diagonal)))
+        vals, vecs = np.linalg.eigh(dense_form(lap))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise DecompositionError(f"symmetric eigensolver failed: {exc}") from exc
     if np.any(np.diff(vals) <= EIGENVALUE_GAP_MIN):
@@ -79,11 +72,11 @@ def _derive_gbt(size: int, diagonal: bytes, off_diagonal: bytes) -> TransformMat
             f"degenerate spectrum: minimum eigenvalue gap {np.diff(vals).min():.3e}"
         )
     # clamp roundoff-negative zeros; anything materially negative is a failure
-    floor = -1e-9 * max(1.0, float(np.abs(diagonal).max()))
+    floor = -1e-9 * max(1.0, float(np.abs(lap.diagonal).max()))
     if vals[0] < floor:
         raise DecompositionError(f"negative eigenvalue {vals[0]:.3e} from a PSD Laplacian")
     vals = np.maximum(vals, 0.0)
-    return TransformMatrix(size=size, basis=canonical_signs(vecs), eigenvalues=vals)
+    return TransformMatrix(size=lap.size, basis=canonical_signs(vecs), eigenvalues=vals)
 
 
 def apply_separable(block: np.ndarray, row_t: TransformMatrix, col_t: TransformMatrix) -> np.ndarray:

@@ -12,6 +12,7 @@ import gbst.trig as trig
 from gbst.coding import sample_gmrf_blocks
 from gbst.dataset import make_dataset, write_gbsr
 from gbst.graph import GraphFamily, GraphParams, build_ggl
+from gbst.spectral import derive_gbt
 
 
 def run(capsys, *argv):
@@ -50,6 +51,14 @@ def test_verify_negative_control(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("n", ["0", "1", "65"])
+def test_verify_bad_size_exits_3(capsys, n):
+    code, out, err = run(capsys, "verify", "--n", n)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: size must be an integer in [2, 64], got {n}\n"
+
+
 def test_basis_dump(tmp_path, capsys):
     out_file = tmp_path / "basis.txt"
     code, _, _ = run(capsys, "basis", "--family", "L1", "--w", "1", "--v", "1", "--n", "8",
@@ -74,6 +83,21 @@ def test_basis_dct2_and_plot_data(tmp_path, capsys):
     plot = plot_file.read_text().strip().split("\n")
     assert plot[0] == "# k=0"
     assert len(plot) == 8 * 9
+
+
+@pytest.mark.parametrize("family", ["L1", "L2"])
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_basis_plot_data_bytes(tmp_path, capsys, n, family):
+    plot_file = tmp_path / "b.plot"
+    code, _, _ = run(capsys, "basis", "--family", family, "--w", "1", "--v", "0.5",
+                     "--n", str(n), "--plot-data", str(plot_file))
+    assert code == 0
+    basis = derive_gbt(build_ggl(GraphParams(1, 0.5, GraphFamily(family)), n)).basis
+    lines = []
+    for k in range(n):
+        lines.append(f"# k={k}")
+        lines.extend(f"{i} {basis[i, k]:.17g}" for i in range(n))
+    assert plot_file.read_text() == "\n".join(lines) + "\n"
 
 
 def test_learn_json(tmp_path, capsys):
@@ -216,6 +240,14 @@ def test_sample_huge_count_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sample_negative_seed_exits_3(capsys):
+    code, out, err = run(capsys, "sample", "--w", "1", "--v", "1", "--n", "4",
+                         "--count", "2", "--seed", "-1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
 
 
 def test_usage_error_exit_code(capsys):

@@ -4,6 +4,7 @@ import pytest
 from gbst.coding import (
     _box_muller,
     alpha_sweep,
+    IntTransformMatrix,
     evaluate_metrics,
     int_matrix_text,
     integerize,
@@ -73,12 +74,12 @@ def test_streaming_covariance_matches_batch():
 
 
 _PD = build_ggl(GraphParams(1, 1, L1), 4)
-# each sampler as draw(precision, count); sample_gmrf_blocks once per precision slot
+# each sampler as draw(precision, count, seed); sample_gmrf_blocks once per precision slot
 SAMPLERS = {
-    "gmrf": lambda lap, count: sample_gmrf(lap, count, seed=0),
-    "covariance": lambda lap, count: sample_covariance(lap, count, seed=0),
-    "blocks-row": lambda lap, count: sample_gmrf_blocks(lap, _PD, count, seed=0),
-    "blocks-col": lambda lap, count: sample_gmrf_blocks(_PD, lap, count, seed=0),
+    "gmrf": lambda lap, count, seed=0: sample_gmrf(lap, count, seed),
+    "covariance": lambda lap, count, seed=0: sample_covariance(lap, count, seed),
+    "blocks-row": lambda lap, count, seed=0: sample_gmrf_blocks(lap, _PD, count, seed),
+    "blocks-col": lambda lap, count, seed=0: sample_gmrf_blocks(_PD, lap, count, seed),
 }
 
 
@@ -94,6 +95,12 @@ def test_non_pd_precision_rejected():
 def test_samplers_reject_count_below_one(name, count):
     with pytest.raises(InvalidParameterError):
         SAMPLERS[name](_PD, count)
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+def test_samplers_reject_negative_seed(name):
+    with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+        SAMPLERS[name](_PD, 5, seed=-1)
 
 
 def _philox_draws(seed, sizes):
@@ -232,6 +239,19 @@ def test_int_matrix_text():
     assert lines[1] == "64 64 64 64"
 
 
+@pytest.mark.parametrize("family", [L1, L2])
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_int_matrix_text_bytes(n, family):
+    m = integerize(derive_gbt(build_ggl(GraphParams(1, 0.5, family), n)))
+    body = "\n".join(" ".join(str(int(x)) for x in row) for row in m.entries)
+    assert int_matrix_text(m) == f"INTGBT N={n} shift={m.scale_shift:g}\n" + body + "\n"
+
+
+def test_int_matrix_text_extremes():
+    m = IntTransformMatrix(2, np.array([[-127, 127], [0, -1]]), 6.5)
+    assert int_matrix_text(m) == "INTGBT N=2 shift=6.5\n-127 127\n0 -1\n"
+
+
 def test_quantize_small_step_noise_bound():
     # coefficients with stratified fractional parts: the realized error is
     # an equispaced sample of U(-step/2, step/2), so mse < step^2/12 holds
@@ -311,6 +331,16 @@ def test_quantize_non_finite_step_rejected(step):
     t = trig_matrix(K.DCT2, 4)
     with pytest.raises(InvalidParameterError, match="finite"):
         quantize_roundtrip_distortion(np.zeros((1, 4, 4)), t, t, step)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])
+def test_quantize_non_finite_blocks_rejected(shape, bad):
+    t = trig_matrix(K.DCT2, 4)
+    blocks = np.zeros(shape)
+    blocks[..., 1, 2] = bad
+    with pytest.raises(InvalidParameterError, match="blocks must be finite"):
+        quantize_roundtrip_distortion(blocks, t, t, 1.0)
 
 
 def test_matched_transform_beats_dct2_at_equal_entropy():

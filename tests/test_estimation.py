@@ -201,7 +201,7 @@ def test_logdet_recurrence_vs_dense():
         lap = build_ggl(GraphParams(w, v, L1), n)
         sign, logdet = np.linalg.slogdet(dense_form(lap))
         assert sign == 1
-        ours = logdet_tridiagonal(lap.diagonal, lap.off_diagonal)
+        ours = logdet_tridiagonal(lap)
         assert ours == pytest.approx(logdet, rel=1e-9)
 
 

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gbst.errors import InvalidDimensionError, InvalidParameterError
-from gbst.graph import GraphFamily, GraphParams, build_ggl, dense_form, matrix_text
+from gbst.graph import (
+    GraphFamily,
+    GraphParams,
+    LineGraphLaplacian,
+    build_ggl,
+    dense_form,
+    matrix_text,
+)
 
 L1, L2 = GraphFamily.L1, GraphFamily.L2
 
@@ -44,6 +51,9 @@ def test_invalid_inputs():
         GraphParams(-1, 0, L1)
     with pytest.raises(InvalidParameterError):
         GraphParams(1, -0.5, L2)
+    for w in ("1", None):
+        with pytest.raises(InvalidParameterError, match="real numbers"):
+            GraphParams(w, 1, L1)
     with pytest.raises(InvalidDimensionError):
         build_ggl(GraphParams(1, 1, L1), 1)
     with pytest.raises(InvalidDimensionError):
@@ -147,5 +157,48 @@ def test_matrix_text_matches_per_value_format(m):
 
 def test_immutability():
     lap = build_ggl(GraphParams(1, 1, L1), 4)
-    with pytest.raises(ValueError):
-        lap.diagonal[0] = 9
+    for band in (lap.diagonal, lap.off_diagonal):
+        assert not band.flags.writeable
+        with pytest.raises(ValueError):
+            band[0] = 9
+    with pytest.raises(AttributeError):
+        lap.diagonal = np.zeros(4)
+
+
+def test_laplacian_is_its_parameters_and_size():
+    a = LineGraphLaplacian(GraphParams(1.5, 0.75, L2), 8)
+    b = build_ggl(GraphParams(1.5, 0.75, L2), 8)
+    assert a is not b and a.diagonal is not b.diagonal
+    assert a == b and hash(a) == hash(b)
+    assert np.array_equal(a.diagonal, b.diagonal) and np.array_equal(a.off_diagonal, b.off_diagonal)
+    assert repr(a) == f"LineGraphLaplacian(params={a.params!r}, size=8)"
+
+
+@pytest.mark.parametrize(
+    "params,n",
+    [
+        (GraphParams(1.5, 0.75, L1), 8),
+        (GraphParams(1.25, 0.75, L2), 8),
+        (GraphParams(1.5, 1.0, L2), 8),
+        (GraphParams(1.5, 0.75, L2), 9),
+    ],
+    ids=["family", "w", "v", "n"],
+)
+def test_laplacians_differing_in_one_field_are_unequal(params, n):
+    assert build_ggl(params, n) != build_ggl(GraphParams(1.5, 0.75, L2), 8)
+
+
+def test_equal_parameters_define_equal_bands():
+    # weights are stored as floats, so a float32 or int weight is the float64 value it equals
+    a = build_ggl(GraphParams(np.float32(0.3), 0.1, L1), 5)
+    b = build_ggl(GraphParams(float(np.float32(0.3)), 0.1, L1), 5)
+    assert a == b and hash(a) == hash(b)
+    assert a.diagonal.dtype == a.off_diagonal.dtype == np.float64
+    assert np.array_equal(a.diagonal, b.diagonal) and np.array_equal(a.off_diagonal, b.off_diagonal)
+    assert build_ggl(GraphParams(2, 1, L2), 4) == build_ggl(GraphParams(2.0, 1.0, L2), 4)
+
+
+@pytest.mark.parametrize("n", [0, 1, 65, 2.0])
+def test_constructor_checks_size(n):
+    with pytest.raises(InvalidDimensionError):
+        LineGraphLaplacian(GraphParams(1, 1, L1), n)

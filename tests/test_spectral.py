@@ -76,6 +76,9 @@ def test_derive_gbt_properties(n, family, w, alpha, seed):
     dense = dense_form(lap)
     assert np.abs(dense @ u - u * lam).max() <= 1e-9 * np.abs(dense).max()
     assert np.all(np.diff(lam) > 0)
+    # the cache serves exactly what a fresh decomposition of the dense form gives
+    vals, vecs = np.linalg.eigh(dense)
+    assert np.array_equal(u, canonical_signs(vecs)) and np.array_equal(lam, np.maximum(vals, 0.0))
     # canonical signs: in every column the first entry above SIGN_EPS is positive
     first = np.argmax(np.abs(u) > SIGN_EPS, axis=0)
     assert np.all(u[first, np.arange(n)] > 0)
@@ -150,15 +153,13 @@ def test_derive_gbt_cache_shares_read_only_results():
         a.basis[0, 0] = 0.0
 
 
-def test_derive_gbt_cache_keys_on_bands_not_params():
-    lap = build_ggl(GraphParams(1, 1, L1), 8)
-    other = LineGraphLaplacian(8, lap.diagonal + np.arange(8.0), lap.off_diagonal.copy(), lap.params)
-    for g in (lap, other):
-        t = derive_gbt(g)
-        vals, vecs = np.linalg.eigh(dense_form(g))
-        assert np.array_equal(t.eigenvalues, np.maximum(vals, 0.0))
-        assert np.array_equal(t.basis, canonical_signs(vecs))
-    assert not np.array_equal(derive_gbt(lap).eigenvalues, derive_gbt(other).eigenvalues)
+def test_derive_gbt_cache_keys_on_the_graph_value():
+    a = derive_gbt(build_ggl(GraphParams(1, 2, L1), 8))
+    assert derive_gbt(LineGraphLaplacian(GraphParams(1.0, 2.0, L1), 8)) is a
+    b = derive_gbt(build_ggl(GraphParams(1, 2, L2), 8))
+    assert b is not a
+    assert np.allclose(b.eigenvalues, a.eigenvalues, rtol=1e-12)  # L2 mirrors L1
+    assert not np.array_equal(b.basis, a.basis)
 
 
 def test_apply_separable_identity():
