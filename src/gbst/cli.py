@@ -9,7 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+
+if __name__ == "__main__":
+    # The command owns its process.  At N <= 64 no BLAS or LAPACK call gains
+    # from a second thread, which only spins after numpy loads and after each
+    # first eigh at N > 25.  Set before numpy loads; a value the user set wins.
+    # Library callers, and main() called in-process, keep numpy's default.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import numpy as np
 

@@ -35,7 +35,8 @@ class GraphFamily(Enum):
 class GraphParams:
     """The (edge weight, vertex weight, family) triple defining a line graph.
 
-    Both weights must be finite and nonnegative.  Operations that need a
+    Both weights must be finite and nonnegative.  ``family`` may be given
+    as a GraphFamily or its value ("L1", "L2").  Operations that need a
     positive definite Laplacian additionally require both to be strictly
     positive; they check that themselves.
     """
@@ -62,6 +63,13 @@ class GraphParams:
             raise InvalidParameterError(
                 f"graph weights must be finite, got w={self.edge_weight}, v={self.vertex_weight}"
             )
+        # stored as the member, so "L1" and GraphFamily.L1 define the same graph
+        try:
+            object.__setattr__(self, "family", GraphFamily(self.family))
+        except (ValueError, TypeError):
+            raise InvalidParameterError(
+                f"graph family must be one of {[f.value for f in GraphFamily]}, got {self.family!r}"
+            ) from None
 
     @property
     def is_positive_definite(self) -> bool:

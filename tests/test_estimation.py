@@ -372,3 +372,9 @@ def test_ml_solution_constants_are_class_level():
     assert (sol.converged, sol.iterations, sol.boundary) == (True, 0, False)
     with pytest.raises(TypeError):
         MLSolution(2.0, 1.5, 0.0, True, 0, False)
+
+
+@pytest.mark.parametrize("family", [L1, L2])
+def test_solve_ml_takes_the_family_by_value(family):
+    cov = random_cov(np.random.default_rng(3), 8)
+    assert solve_ml(cov, family.value) == solve_ml(cov, family)

@@ -202,3 +202,20 @@ def test_equal_parameters_define_equal_bands():
 def test_constructor_checks_size(n):
     with pytest.raises(InvalidDimensionError):
         LineGraphLaplacian(GraphParams(1, 1, L1), n)
+
+
+@pytest.mark.parametrize("family", [L1, L2])
+def test_family_given_as_its_value_is_the_member(family):
+    by_value = GraphParams(1, 1, family.value)
+    assert by_value.family is family
+    assert by_value == GraphParams(1, 1, family) and hash(by_value) == hash(GraphParams(1, 1, family))
+    lap = build_ggl(by_value, 4)
+    assert lap == build_ggl(GraphParams(1, 1, family), 4)
+    assert lap.self_loop_vertex == (0 if family is L1 else 3)
+    assert lap.diagonal[lap.self_loop_vertex] == 2
+
+
+@pytest.mark.parametrize("family", ["L3", "l1", None, 1, ["L1"]])
+def test_invalid_family_rejected(family):
+    with pytest.raises(InvalidParameterError, match="graph family"):
+        GraphParams(1, 1, family)
