@@ -42,6 +42,11 @@ def _write(path, text: str) -> None:
             f.write(text)
 
 
+def _laplacian(args):
+    """The graph named by --w, --v, --family and --n."""
+    return build_ggl(GraphParams(args.w, args.v, args.family), args.n)
+
+
 def cmd_verify(args, parser) -> int:
     kinds = [TrigTransformKind(args.kind)] if args.kind else list(trig.CORRESPONDENCE)
     sizes = [args.n] if args.n is not None else list(VERIFY_SIZES)
@@ -59,7 +64,7 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_basis(args, parser) -> int:
-    lap = build_ggl(GraphParams(args.w, args.v, GraphFamily(args.family)), args.n)
+    lap = _laplacian(args)
     t = derive_gbt(lap)
     _write(args.out, gbt_dump(t, lap))
     if args.plot_data:
@@ -73,7 +78,7 @@ def cmd_learn(args, parser) -> int:
     dataset = read_gbsr(args.data)
     check_size(dataset.block_size)  # before the data pass
     (cov,) = estimation.residual_covariances(dataset, (args.direction,))
-    sol = estimation.solve_ml(cov, GraphFamily(args.family))
+    sol = estimation.solve_ml(cov, args.family)
     ref = estimation.refine(sol, dataset.block_size)
     record = {
         "direction": args.direction,
@@ -128,7 +133,6 @@ def _parse_alphas(spec: str, parser) -> list[float]:
 
 def cmd_sweep(args, parser) -> int:
     alphas = _parse_alphas(args.alphas, parser)
-    family = GraphFamily(args.family)
     n = args.n
     if args.data:
         dataset = read_gbsr(args.data)
@@ -142,8 +146,8 @@ def cmd_sweep(args, parser) -> int:
             parser.error("sweep needs --data or --model-v")
         if n is None:
             parser.error("sweep --model-v needs --n")
-        cov = coding.model_covariance(build_ggl(GraphParams(1.0, args.model_v, family), n))
-    rows = coding.alpha_sweep(cov, n, family, alphas)
+        cov = coding.model_covariance(build_ggl(GraphParams(1.0, args.model_v, args.family), n))
+    rows = coding.alpha_sweep(cov, n, args.family, alphas)
     _write(args.out, coding.sweep_csv(rows))
     return 0
 
@@ -152,7 +156,7 @@ def cmd_gen_matrix(args, parser) -> int:
     if args.kind:
         t = trig.trig_matrix(TrigTransformKind(args.kind), args.n)
     elif args.w is not None and args.v is not None:
-        t = derive_gbt(build_ggl(GraphParams(args.w, args.v, GraphFamily(args.family)), args.n))
+        t = derive_gbt(_laplacian(args))
     else:
         parser.error("gen-matrix needs --kind or both --w and --v")
     m = coding.integerize(t)
@@ -161,8 +165,7 @@ def cmd_gen_matrix(args, parser) -> int:
 
 
 def cmd_sample(args, parser) -> int:
-    lap = build_ggl(GraphParams(args.w, args.v, GraphFamily(args.family)), args.n)
-    x = coding.sample_gmrf(lap, args.count, args.seed)
+    x = coding.sample_gmrf(_laplacian(args), args.count, args.seed)
     _write(args.out, matrix_text(x))
     return 0
 

@@ -19,8 +19,11 @@ from .errors import (
     InvalidParameterError,
     NonPositiveDefiniteError,
 )
-from .estimation import SampleCovariance, logdet_tridiagonal
-from .graph import GraphFamily, GraphParams, LineGraphLaplacian, build_ggl, dense_form, matrix_text
+from .estimation import SampleCovariance
+from .graph import (
+    GraphFamily, GraphParams, LineGraphLaplacian, build_ggl, check_positive_definite, dense_form,
+    matrix_text,
+)
 from .spectral import TransformMatrix, derive_gbt
 
 
@@ -61,14 +64,21 @@ def _box_muller(gen: np.random.Generator, count: int) -> np.ndarray:
     return z[:count]
 
 
-def _inverse_cholesky(lap: LineGraphLaplacian) -> np.ndarray:
-    """C^{-1} for the lower Cholesky factor L = C C^T; rows g C^{-1} have covariance L^{-1}."""
-    # pivot recurrence doubles as the positive-definiteness check
-    logdet_tridiagonal(lap)
+def _factor_precision(lap: LineGraphLaplacian, factor) -> np.ndarray:
+    """``factor(dense_form(lap))``; a precision singular in float64 raises NonPositiveDefiniteError."""
+    check_positive_definite(lap.params)
+    w, v = lap.params.edge_weight, lap.params.vertex_weight
+    if w + v == w:  # the float64 matrix is the singular w P, which LAPACK may factor by roundoff
+        raise NonPositiveDefiniteError(f"precision is singular in float64: v={v} vanishes beside w={w}")
     try:
-        return np.linalg.inv(np.linalg.cholesky(dense_form(lap)))
+        return factor(dense_form(lap))
     except np.linalg.LinAlgError as exc:
         raise NonPositiveDefiniteError(str(exc)) from exc
+
+
+def _inverse_cholesky(lap: LineGraphLaplacian) -> np.ndarray:
+    """C^{-1} for the lower Cholesky factor L = C C^T; rows g C^{-1} have covariance L^{-1}."""
+    return _factor_precision(lap, lambda m: np.linalg.inv(np.linalg.cholesky(m)))
 
 
 def _gmrf_chunks(precision: LineGraphLaplacian, count: int, seed: int, chunk: int):
@@ -133,8 +143,7 @@ def sample_gmrf_blocks(
 
 def model_covariance(lap: LineGraphLaplacian) -> SampleCovariance:
     """Exact covariance L^{-1} of the GMRF with precision L."""
-    logdet_tridiagonal(lap)
-    return SampleCovariance(size=lap.size, matrix=np.linalg.inv(dense_form(lap)))
+    return SampleCovariance(size=lap.size, matrix=_factor_precision(lap, np.linalg.inv))
 
 
 def check_transform_size(transform_n: int, covariance_n: int) -> None:

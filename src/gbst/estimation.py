@@ -3,8 +3,9 @@
 The fit minimizes  Tr(L(w, v) S) - logdet L(w, v)  over w, v > 0, the
 negative Gaussian log-likelihood with the Laplacian as precision matrix.
 L = w P + v e_k e_k^T with P the path-graph Laplacian, a tree, so
-det L = v w^(N-1) and the objective separates in w and v; its minimizer
-is w* = (N-1)/Tr(PS), v* = 1/S_kk, with no iteration.  A second step
+det L = v w^(N-1): the objective is w Tr(PS) + v S_kk - (N-1) log w - log v,
+read from two moments of S, and separates in w and v; its minimizer is
+w* = (N-1)/Tr(PS), v* = 1/S_kk, with no iteration.  A second step
 normalizes the fitted graph (divide by w*) and rounds the vertex weight
 to the nearest multiple of 0.25.
 """
@@ -25,9 +26,8 @@ from .errors import (
     EmptyDatasetError,
     InconsistentBlockSizeError,
     InvalidParameterError,
-    NonPositiveDefiniteError,
 )
-from .graph import GraphFamily, GraphParams, LineGraphLaplacian, build_ggl
+from .graph import GraphFamily, GraphParams, build_ggl, check_positive_definite
 
 
 @dataclass(frozen=True)
@@ -138,62 +138,44 @@ def residual_covariances(
     return tuple(SampleCovariance(size=n, matrix=totals[d] / (m * n)) for d in directions)
 
 
-def logdet_tridiagonal(lap: LineGraphLaplacian) -> float:
-    """log det of the Laplacian's tridiagonal matrix via the pivot recurrence.
+def _path_moments(family: GraphFamily, cov: SampleCovariance) -> tuple[int, float, float]:
+    """(k, Tr(PS), S_kk): the self-loop vertex and the two moments the objective reads.
 
-    Runs the leading-principal-minor recurrence in ratio form
-    r_k = a_k - b_{k-1}^2 / r_{k-1} (so d_k = r_k d_{k-1}) and sums logs,
-    which is overflow-free.  Any nonpositive pivot means the matrix is
-    not positive definite.
+    P = dL/dw is the unit-weight path Laplacian, so Tr(PS) is the summed
+    second moment of the adjacent differences x_i - x_{i+1}; S_kk = dTr(LS)/dv.
     """
-    diag, off = lap.diagonal, lap.off_diagonal
-    r = diag[0]
-    if r <= 0:
-        raise NonPositiveDefiniteError("leading minor is not positive")
-    acc = math.log(r)
-    for k in range(1, len(diag)):
-        r = diag[k] - off[k - 1] ** 2 / r
-        if r <= 0:
-            raise NonPositiveDefiniteError(f"minor {k + 1} is not positive")
-        acc += math.log(r)
-    return acc
-
-
-def _band_trace_product(lap: LineGraphLaplacian, m: np.ndarray) -> float:
-    """Tr(L m) for the Laplacian's symmetric tridiagonal matrix L."""
-    idx = np.arange(lap.size - 1)
-    return float(lap.diagonal @ np.diag(m) + 2.0 * lap.off_diagonal @ m[idx, idx + 1])
+    n, s = cov.size, cov.matrix
+    k = build_ggl(GraphParams(1.0, 1.0, family), n).self_loop_vertex
+    # the diagonal and off-diagonal of P as two dot products, in this order
+    # and on a contiguous superdiagonal copy, so the sum rounds the same way
+    # on every call
+    p_diag = np.full(n, 2.0)
+    p_diag[[0, -1]] = 1.0
+    idx = np.arange(n - 1)
+    tr_ps = float(p_diag @ np.diag(s) + np.full(n - 1, -2.0) @ s[idx, idx + 1])
+    return k, tr_ps, float(s[k, k])
 
 
 def ml_objective(params: GraphParams, cov: SampleCovariance) -> float:
-    """Tr(L S) - logdet L at an interior point (w > 0, v > 0)."""
-    lap = build_ggl(params, cov.size)
-    return _band_trace_product(lap, cov.matrix) - logdet_tridiagonal(lap)
+    """Tr(L S) - logdet L at an interior point (w > 0, v > 0).
 
-
-def _path_trace(cov: SampleCovariance) -> float:
-    """Tr(P S) for the unit-weight path-graph Laplacian P = dL/dw.
-
-    It is the summed second moment of the adjacent differences x_i - x_{i+1}.
+    With det L = v w^(N-1) (see ``solve_ml``) it is
+    w Tr(P S) + v S_kk - (N-1) log w - log v.
     """
-    path = build_ggl(GraphParams(1.0, 0.0, GraphFamily.L1), cov.size)
-    return _band_trace_product(path, cov.matrix)
+    _, tr_ps, s_kk = _path_moments(params.family, cov)
+    check_positive_definite(params)
+    w, v = params.edge_weight, params.vertex_weight
+    return w * tr_ps + v * s_kk - (cov.size - 1) * math.log(w) - math.log(v)
 
 
 def ml_gradient(params: GraphParams, cov: SampleCovariance) -> tuple[float, float]:
     """Partial derivatives of the objective with respect to (w, v).
 
-    With det L = v w^(N-1) (see ``solve_ml``) they are
-    Tr(P S) - (N-1)/w and S_kk - 1/v, where k is the self-loop vertex.
+    They are Tr(P S) - (N-1)/w and S_kk - 1/v, where k is the self-loop vertex.
     """
-    k = build_ggl(params, cov.size).self_loop_vertex
-    if not params.is_positive_definite:
-        raise NonPositiveDefiniteError(
-            f"gradient needs w > 0 and v > 0, got w={params.edge_weight}, v={params.vertex_weight}"
-        )
-    d_w = _path_trace(cov) - (cov.size - 1) / params.edge_weight
-    d_v = float(cov.matrix[k, k]) - 1.0 / params.vertex_weight
-    return d_w, d_v
+    _, tr_ps, s_kk = _path_moments(params.family, cov)
+    check_positive_definite(params)
+    return tr_ps - (cov.size - 1) / params.edge_weight, s_kk - 1.0 / params.vertex_weight
 
 
 def solve_ml(cov: SampleCovariance, family: GraphFamily) -> MLSolution:
@@ -205,12 +187,10 @@ def solve_ml(cov: SampleCovariance, family: GraphFamily) -> MLSolution:
     - log v then separates into two one-dimensional convex terms.
     """
     n = cov.size
-    k = build_ggl(GraphParams(1.0, 1.0, family), n).self_loop_vertex
+    k, tr_ps, s_kk = _path_moments(family, cov)
     # a zero moment in either term leaves the objective unbounded below
-    s_kk = float(cov.matrix[k, k])
     if s_kk <= 0:
         raise DegenerateInputError(f"boundary moment S[{k},{k}] is zero; the fit is unbounded")
-    tr_ps = _path_trace(cov)
     if tr_ps <= 0:
         raise DegenerateInputError("adjacent samples never differ (Tr(PS) = 0); the fit is unbounded")
     w, v = (n - 1) / tr_ps, 1.0 / s_kk
@@ -224,12 +204,17 @@ def solve_ml(cov: SampleCovariance, family: GraphFamily) -> MLSolution:
 def refine(sol: MLSolution, size: int | None = None) -> RefinedParam:
     """Normalize by w* and round v*/w* to the nearest multiple of 0.25.
 
-    Exact ties round half away from zero.
+    The weights must be ones ``GraphParams`` accepts, with w* > 0.  Exact
+    ties round up.
     """
     if not (math.isfinite(sol.w_star) and math.isfinite(sol.v_star)):
         raise InvalidParameterError(f"fit must be finite, got w* = {sol.w_star}, v* = {sol.v_star}")
     if sol.w_star <= 0:
         raise DegenerateGraphError(f"cannot normalize with w* = {sol.w_star}")
+    if sol.v_star < 0:
+        raise InvalidParameterError(f"vertex weight must be nonnegative, got v* = {sol.v_star}")
     ratio = sol.v_star / sol.w_star
-    alpha = math.floor(abs(ratio) * 4.0 + 0.5) / 4.0 * (1 if ratio >= 0 else -1)
+    if not math.isfinite(4.0 * ratio):
+        raise InvalidParameterError(f"v*/w* = {ratio} is too large to round to the 0.25 grid")
+    alpha = math.floor(ratio * 4.0 + 0.5) / 4.0
     return RefinedParam(alpha=alpha, size=size if size is not None else 0)

@@ -3,20 +3,21 @@
 The model space is a path graph on N vertices with constant edge weight
 ``w`` and a single self-loop of weight ``v`` placed at one boundary
 vertex: at vertex 0 for family L1, at vertex N-1 for family L2.  The
-resulting generalized Laplacian is symmetric tridiagonal; it is fully
-defined by the parameters and N, and its band is derived from them.
+resulting generalized Laplacian L = w P + v e_k e_k^T, with P the
+Laplacian of the unit-weight path, is symmetric tridiagonal and fully
+defined by the parameters and N.  P is a tree, so det L = v w^(N-1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidParameterError
+from .errors import InvalidDimensionError, InvalidParameterError, NonPositiveDefiniteError
 
 N_MIN = 2
 N_MAX = 64
@@ -38,7 +39,7 @@ class GraphParams:
     Both weights must be finite and nonnegative.  ``family`` may be given
     as a GraphFamily or its value ("L1", "L2").  Operations that need a
     positive definite Laplacian additionally require both to be strictly
-    positive; they check that themselves.
+    positive; they call ``check_positive_definite``.
     """
 
     edge_weight: float
@@ -51,7 +52,7 @@ class GraphParams:
                 f"graph weights must be real numbers, got "
                 f"w={self.edge_weight!r}, v={self.vertex_weight!r}"
             )
-        # stored as plain floats, so equal parameters always define equal bands
+        # stored as plain floats, so equal parameters always define equal matrices
         object.__setattr__(self, "edge_weight", float(self.edge_weight))
         object.__setattr__(self, "vertex_weight", float(self.vertex_weight))
         if self.edge_weight < 0 or self.vertex_weight < 0:
@@ -71,38 +72,21 @@ class GraphParams:
                 f"graph family must be one of {[f.value for f in GraphFamily]}, got {self.family!r}"
             ) from None
 
-    @property
-    def is_positive_definite(self) -> bool:
-        return self.edge_weight > 0 and self.vertex_weight > 0
-
 
 @dataclass(frozen=True)
 class LineGraphLaplacian:
     """Symmetric tridiagonal generalized Laplacian of a weighted line graph.
 
-    The value is ``(params, size)``: equality and hashing see only those.
-    The band is derived from them on construction: ``diagonal`` has length
-    N with interior entries 2w, boundary entries w and the self-loop weight
-    v added at vertex 0 (L1) or vertex N-1 (L2); ``off_diagonal`` has
-    length N-1 with every entry equal to ``-w``.  Both arrays are read-only.
+    The value is ``(params, size)``, and it is the whole of the Laplacian:
+    ``dense_form`` builds the matrix from it, and the log-determinant,
+    Tr(LS) and positive definiteness follow from it in closed form.
     """
 
     params: GraphParams
     size: int
-    diagonal: np.ndarray = field(init=False, compare=False, repr=False)
-    off_diagonal: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_size(self.size)
-        n, w, v = self.size, self.params.edge_weight, self.params.vertex_weight
-        diag = np.full(n, 2.0 * w)
-        diag[0] = w
-        diag[-1] = w
-        diag[self.self_loop_vertex] += v
-        off = np.full(n - 1, -w)
-        for name, band in (("diagonal", diag), ("off_diagonal", off)):
-            band.setflags(write=False)
-            object.__setattr__(self, name, band)
 
     @property
     def self_loop_vertex(self) -> int:
@@ -115,17 +99,28 @@ def check_size(n: int) -> None:
         raise InvalidDimensionError(f"size must be an integer in [{N_MIN}, {N_MAX}], got {n}")
 
 
+def check_positive_definite(params: GraphParams) -> None:
+    """Raise NonPositiveDefiniteError unless w > 0 and v > 0, which is when det L = v w^(N-1) > 0."""
+    if not (params.edge_weight > 0 and params.vertex_weight > 0):
+        raise NonPositiveDefiniteError(
+            f"precision needs w > 0 and v > 0, got w={params.edge_weight}, v={params.vertex_weight}"
+        )
+
+
 def build_ggl(params: GraphParams, n: int) -> LineGraphLaplacian:
     """The Laplacian of the line graph with these parameters on ``n`` vertices."""
     return LineGraphLaplacian(params, n)
 
 
 def dense_form(lap: LineGraphLaplacian) -> np.ndarray:
-    """Dense N x N matrix with the band laid out on the three main diagonals."""
-    m = np.diag(lap.diagonal)
-    idx = np.arange(lap.size - 1)
-    m[idx, idx + 1] = lap.off_diagonal
-    m[idx + 1, idx] = lap.off_diagonal
+    """Dense N x N matrix: 2w inside and w at the ends of the diagonal, +v at the self-loop, -w off it."""
+    n, w = lap.size, lap.params.edge_weight
+    diag = np.full(n, 2.0 * w)
+    diag[[0, -1]] = w
+    diag[lap.self_loop_vertex] += lap.params.vertex_weight
+    m = np.diag(diag)
+    idx = np.arange(n - 1)
+    m[idx, idx + 1] = m[idx + 1, idx] = -w
     return m
 
 

@@ -63,8 +63,9 @@ def derive_gbt(lap: LineGraphLaplacian) -> TransformMatrix:
     OpenBLAS's thread pool, which then spins for ~0.1 s, so a first
     decomposition costs more CPU than wall.
     """
+    m = dense_form(lap)
     try:
-        vals, vecs = np.linalg.eigh(dense_form(lap))
+        vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise DecompositionError(f"symmetric eigensolver failed: {exc}") from exc
     if np.any(np.diff(vals) <= EIGENVALUE_GAP_MIN):
@@ -72,7 +73,7 @@ def derive_gbt(lap: LineGraphLaplacian) -> TransformMatrix:
             f"degenerate spectrum: minimum eigenvalue gap {np.diff(vals).min():.3e}"
         )
     # clamp roundoff-negative zeros; anything materially negative is a failure
-    floor = -1e-9 * max(1.0, float(np.abs(lap.diagonal).max()))
+    floor = -1e-9 * max(1.0, float(np.abs(np.diag(m)).max()))
     if vals[0] < floor:
         raise DecompositionError(f"negative eigenvalue {vals[0]:.3e} from a PSD Laplacian")
     vals = np.maximum(vals, 0.0)

@@ -152,6 +152,14 @@ def test_refine(capsys):
     assert json.loads(out)["alpha"] == 0.75
 
 
+@pytest.mark.parametrize("w,v", [("1", "-1"), ("1e-320", "1e300")])
+def test_refine_rejects_negative_or_overflowing_ratio(capsys, w, v):
+    code, out, err = run(capsys, "refine", "--w", w, "--v", v)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_sweep_argmax(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "--n", "16", "--alphas", "0:0.25:2",
@@ -231,6 +239,15 @@ def test_sample_deterministic(tmp_path, capsys):
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
     assert np.loadtxt(a).shape == (10, 4)
+
+
+def test_sample_at_huge_weights_succeeds():
+    # w^2 overflows float64, yet the precision is positive definite and factors
+    argv = ["sample", "--w", "1e300", "--v", "1e300", "--n", "8", "--count", "3"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "gbst.cli", *argv], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert np.isfinite(np.loadtxt(proc.stdout.splitlines())).all()
 
 
 def test_sample_huge_count_exits_3(capsys):

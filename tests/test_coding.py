@@ -85,9 +85,16 @@ SAMPLERS = {
 
 def test_non_pd_precision_rejected():
     singular = build_ggl(GraphParams(1, 0, L1), 4)
-    for draw in SAMPLERS.values():
-        with pytest.raises(NonPositiveDefiniteError, match="minor 4 is not positive"):
+    # positive definite in exact arithmetic, but w + v == w: the float64 matrix is
+    # singular, and at w = 0.7 LAPACK's Cholesky would factor it by roundoff
+    numerically_singular = [build_ggl(GraphParams(w, v, L1), 4) for w, v in [(1, 1e-17), (0.7, 1e-18)]]
+    message = r"^precision needs w > 0 and v > 0, got w=1.0, v=0.0$"
+    for draw in [*SAMPLERS.values(), lambda lap, count: model_covariance(lap)]:
+        with pytest.raises(NonPositiveDefiniteError, match=message):
             draw(singular, 5)
+        for lap in numerically_singular:
+            with pytest.raises(NonPositiveDefiniteError, match="singular in float64"):
+                draw(lap, 5)
 
 
 @pytest.mark.parametrize("name", SAMPLERS)

@@ -2,25 +2,25 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gbst.estimation as estimation
-from gbst.coding import model_covariance, sample_gmrf, sample_gmrf_blocks
+from gbst.coding import model_covariance, sample_covariance, sample_gmrf, sample_gmrf_blocks
 from gbst.dataset import ResidualDataset, make_dataset
 from gbst.errors import (
     DatasetTooLargeError,
     DegenerateGraphError,
     DegenerateInputError,
     EmptyDatasetError,
+    GBSTError,
     InvalidParameterError,
     NonPositiveDefiniteError,
 )
 from gbst.estimation import (
     MLSolution,
     SampleCovariance,
-    logdet_tridiagonal,
     ml_gradient,
     ml_objective,
     refine,
@@ -194,15 +194,55 @@ def test_objective_rejects_non_pd():
         ml_objective(GraphParams(0, 1, L1), SampleCovariance(4, np.eye(4)))
 
 
-def test_logdet_recurrence_vs_dense():
-    rng = np.random.default_rng(7)
-    for n in range(2, 9):
-        w, v = rng.uniform(0.3, 3, 2)
-        lap = build_ggl(GraphParams(w, v, L1), n)
-        sign, logdet = np.linalg.slogdet(dense_form(lap))
-        assert sign == 1
-        ours = logdet_tridiagonal(lap)
-        assert ours == pytest.approx(logdet, rel=1e-9)
+def log_uniform(lo, hi):
+    """Floats 10^e with the exponent e drawn from [lo, hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    w=log_uniform(-3, 3),
+    v=log_uniform(-3, 3),
+    n=st.integers(2, 64),
+    family=st.sampled_from([L1, L2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_objective_matches_dense_form(w, v, n, family, seed):
+    s = random_cov(np.random.default_rng(seed), n)
+    params = GraphParams(w, v, family)
+    m = dense_form(build_ggl(params, n))
+    sign, logdet = np.linalg.slogdet(m)
+    assert sign == 1
+    assert ml_objective(params, s) == pytest.approx(np.trace(m @ s.matrix) - logdet, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None)
+@given(
+    w=log_uniform(-300, 300),
+    v=log_uniform(-300, 300),
+    n=st.integers(2, 64),
+    family=st.sampled_from([L1, L2]),
+)
+@example(w=1e300, v=1e300, n=8, family=L1)
+@example(w=1e300, v=1e-300, n=64, family=L2)
+@example(w=1e-300, v=1e300, n=64, family=L1)
+def test_extreme_weights_give_finite_values_or_a_typed_error(w, v, n, family):
+    lap = build_ggl(GraphParams(w, v, family), n)
+    cov = random_cov(np.random.default_rng(n), n)
+    calls = {
+        "sample_gmrf": lambda: sample_gmrf(lap, 3, 0),
+        "sample_covariance": lambda: sample_covariance(lap, 3, 0).matrix,
+        "sample_gmrf_blocks": lambda: sample_gmrf_blocks(lap, lap, 2, 0),
+        "model_covariance": lambda: model_covariance(lap).matrix,
+        "ml_objective": lambda: ml_objective(lap.params, cov),
+    }
+    for name, call in calls.items():
+        try:
+            value = call()
+        except GBSTError:
+            continue
+        assert np.isfinite(value).all(), name
 
 
 def test_gradient_zero_at_generating_model():
@@ -317,7 +357,7 @@ def test_closed_form_fit_properties(n, family, seed, c):
     d_w, d_v = ml_gradient(params, s)
     assert abs(d_w) <= 1e-9 * (n - 1) / sol.w_star
     assert abs(d_v) <= 1e-9 / sol.v_star
-    # the closed-form objective agrees with the pivot-recurrence objective
+    # the fit's objective is ml_objective at the fitted weights
     assert sol.objective == pytest.approx(ml_objective(params, s), rel=1e-9)
     assert (sol.converged, sol.iterations, sol.boundary) == (True, 0, False)
     # scaling S by a power of two scales both weights by exactly 1/c
@@ -342,6 +382,15 @@ def test_refine_examples():
     assert refine(sol(1.0, 0.125)).alpha == 0.25
     with pytest.raises(DegenerateGraphError):
         refine(sol(0.0, 1.0))
+
+
+def test_refine_rejects_weights_graph_params_rejects():
+    with pytest.raises(InvalidParameterError, match="nonnegative"):
+        refine(MLSolution(1.0, -1.0, 0.0))
+    # v*/w* overflows, or 4 v*/w* does on the way to the 0.25 grid
+    for w, v in [(1e-320, 1e300), (1.0, 1e308)]:
+        with pytest.raises(InvalidParameterError, match="too large"):
+            refine(MLSolution(w, v, 0.0))
 
 
 def test_learn_gbst_end_to_end():

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,14 +21,12 @@ L1, L2 = GraphFamily.L1, GraphFamily.L2
 
 def test_build_l1_basic():
     lap = build_ggl(GraphParams(1, 1, L1), 3)
-    assert np.array_equal(lap.diagonal, [2, 2, 1])
-    assert np.array_equal(lap.off_diagonal, [-1, -1])
+    assert np.array_equal(dense_form(lap), [[2, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
 
 def test_build_l2_basic():
     lap = build_ggl(GraphParams(2, 4, L2), 3)
-    assert np.array_equal(lap.diagonal, [2, 4, 6])
-    assert np.array_equal(lap.off_diagonal, [-2, -2])
+    assert np.array_equal(dense_form(lap), [[2, -2, 0], [-2, 4, -2], [0, -2, 6]])
 
 
 def test_no_self_loop_is_combinatorial():
@@ -157,20 +157,22 @@ def test_matrix_text_matches_per_value_format(m):
 
 def test_immutability():
     lap = build_ggl(GraphParams(1, 1, L1), 4)
-    for band in (lap.diagonal, lap.off_diagonal):
-        assert not band.flags.writeable
-        with pytest.raises(ValueError):
-            band[0] = 9
     with pytest.raises(AttributeError):
-        lap.diagonal = np.zeros(4)
+        lap.size = 5
+    with pytest.raises(AttributeError):
+        lap.params.edge_weight = 9.0
+    # every dense_form is a fresh array: writing to one leaves the graph as it was
+    m = dense_form(lap)
+    m[0, 0] = 9
+    assert dense_form(lap)[0, 0] == 2
 
 
 def test_laplacian_is_its_parameters_and_size():
     a = LineGraphLaplacian(GraphParams(1.5, 0.75, L2), 8)
     b = build_ggl(GraphParams(1.5, 0.75, L2), 8)
-    assert a is not b and a.diagonal is not b.diagonal
+    assert a is not b and [f.name for f in fields(a)] == ["params", "size"]
     assert a == b and hash(a) == hash(b)
-    assert np.array_equal(a.diagonal, b.diagonal) and np.array_equal(a.off_diagonal, b.off_diagonal)
+    assert np.array_equal(dense_form(a), dense_form(b))
     assert repr(a) == f"LineGraphLaplacian(params={a.params!r}, size=8)"
 
 
@@ -193,8 +195,8 @@ def test_equal_parameters_define_equal_bands():
     a = build_ggl(GraphParams(np.float32(0.3), 0.1, L1), 5)
     b = build_ggl(GraphParams(float(np.float32(0.3)), 0.1, L1), 5)
     assert a == b and hash(a) == hash(b)
-    assert a.diagonal.dtype == a.off_diagonal.dtype == np.float64
-    assert np.array_equal(a.diagonal, b.diagonal) and np.array_equal(a.off_diagonal, b.off_diagonal)
+    assert dense_form(a).dtype == np.float64
+    assert np.array_equal(dense_form(a), dense_form(b))
     assert build_ggl(GraphParams(2, 1, L2), 4) == build_ggl(GraphParams(2.0, 1.0, L2), 4)
 
 
@@ -212,7 +214,8 @@ def test_family_given_as_its_value_is_the_member(family):
     lap = build_ggl(by_value, 4)
     assert lap == build_ggl(GraphParams(1, 1, family), 4)
     assert lap.self_loop_vertex == (0 if family is L1 else 3)
-    assert lap.diagonal[lap.self_loop_vertex] == 2
+    k = lap.self_loop_vertex
+    assert dense_form(lap)[k, k] == 2
 
 
 @pytest.mark.parametrize("family", ["L3", "l1", None, 1, ["L1"]])
