@@ -236,11 +236,14 @@ def quantize_roundtrip_distortion(
     col_t: TransformMatrix,
     step: float,
 ) -> tuple[float, float]:
-    """Transform, uniform-quantize, inverse-transform; MSE and index entropy.
+    """Transform, uniform-quantize; reconstruction MSE and index entropy.
 
     Quantization is plain rounding half away from zero (no dead zone);
     entropy is the empirical first-order entropy of the integer indices in
-    bits per sample.
+    bits per sample.  Both bases are orthonormal, so the separable transform
+    is too, and by Parseval the error of the reconstruction
+    U_col (step q) U_row^T equals the error of the coefficients: the MSE is
+    measured there, with no inverse transform.
     """
     if not 0 < step < math.inf:
         raise InvalidParameterError(f"step must be positive and finite, got {step}")
@@ -255,17 +258,14 @@ def quantize_roundtrip_distortion(
         raise InvalidParameterError("no blocks to quantize")
     if not np.isfinite(blocks).all():
         raise InvalidParameterError("blocks must be finite")
-    # one product over the whole stack: U_col^T X U_row per block, and back;
-    # in place where possible, so the stack has few full-size temporaries
+    # one product over the whole stack: U_col^T X U_row per block, in place
+    # where possible, so the stack has few full-size temporaries
     coeffs = col_t.basis.T @ blocks @ row_t.basis
     coeffs /= step
     q = round_half_away(coeffs)
-    del coeffs
     _, counts = np.unique(q, return_counts=True)  # q holds integers; -0.0 counts as 0
-    q *= step
-    err = col_t.basis @ q @ row_t.basis.T
-    err -= blocks
-    mse = float(np.square(err, out=err).sum()) / blocks.size
+    coeffs -= q
+    mse = step**2 * float(np.square(coeffs, out=coeffs).sum()) / blocks.size
     p = counts / counts.sum()
     entropy = float(-(p * np.log2(p)).sum())
     return mse, entropy

@@ -83,11 +83,13 @@ class RefinedParam:
     size: int
 
 
-# Integer blocks: a chunk of max(CHUNK_ROWS, N) rows sums at most 2^23 terms
-# of |i16|^2 <= 2^30 while CHUNK_ROWS <= 2^23 (N is a u16), so its float64
-# product stays below 2^53 and is exact; the int64 total has room for fewer
-# than INT64_ROWS rows (2^33 * 2^30 = 2^63).
-CHUNK_ROWS = 1 << 16
+# Integer blocks: a chunk of max(1, CHUNK_VALUES // N^2) blocks stacks at most
+# max(CHUNK_VALUES, N) rows, so each entry of its product sums at most 2^23
+# terms of |i16|^2 <= 2^30 while CHUNK_VALUES <= 2^23 (N is a u16): the
+# float64 product stays below 2^53 and is exact; the int64 total has room for
+# fewer than INT64_ROWS rows (2^33 * 2^30 = 2^63).  2^17 float64 values fill
+# 1 MiB, inside one core's L2 cache.
+CHUNK_VALUES = 1 << 17
 INT64_ROWS = 1 << 33
 DIRECTIONS = ("row", "col")
 
@@ -101,12 +103,14 @@ def residual_covariances(
     a zero-mean process; the result is the average outer product over all
     M*N of them, one SampleCovariance per entry of ``directions``.
 
-    The blocks are walked in chunks of about CHUNK_ROWS rows, each written
-    once into a reused float64 buffer laid out (N, k, N): reshaped to
-    (N*k, N) it is the row matrix, to (N, k*N) the column matrix.  For i16
-    (or narrower) integer blocks every chunk product is exact and is folded
-    into an int64 total, so the moments are bit-identical for any chunk
-    size and any block order.
+    The blocks are walked in chunks of about CHUNK_VALUES values.  For each
+    direction a chunk is copied into one reused float64 (k, N, N) buffer,
+    rows as they sit in the file and columns through a transpose of every
+    block (the column moment of X is the row moment of X^T); viewed as a
+    (k*N, N) matrix a, the buffer adds a^T a to the direction's total.  For
+    i16 (or narrower) integer blocks every chunk product is exact and is
+    folded into an int64 total, so the moments are bit-identical for any
+    chunk size, any block order and any set of directions.
     """
     blocks = dataset.blocks
     if blocks.shape[0] == 0:
@@ -120,21 +124,16 @@ def residual_covariances(
     exact = np.issubdtype(blocks.dtype, np.integer) and blocks.dtype.itemsize <= 2
     if exact and m * n >= INT64_ROWS:
         raise DatasetTooLargeError(f"{m * n} rows overflow the exact int64 moment (limit {INT64_ROWS})")
-    k = max(1, CHUNK_ROWS // n)
-    flat = np.empty(n * min(k, m) * n)
+    k = max(1, CHUNK_VALUES // (n * n))
+    flat = np.empty(min(k, m) * n * n)
     totals = {d: np.zeros((n, n), dtype=np.int64 if exact else float) for d in directions}
     for start in range(0, m, k):
         chunk = blocks[start : start + k]
-        buf = flat[: chunk.size].reshape(n, chunk.shape[0], n)
-        np.copyto(buf, chunk.transpose(1, 0, 2))
+        buf = flat[: chunk.size].reshape(chunk.shape)
+        a = buf.reshape(-1, n)
         for d, total in totals.items():
-            if d == "row":
-                a = buf.reshape(-1, n)
-                prod = a.T @ a
-            else:
-                a = buf.reshape(n, -1)
-                prod = a @ a.T
-            total += prod.astype(total.dtype)
+            np.copyto(buf, chunk if d == "row" else chunk.transpose(0, 2, 1))
+            total += (a.T @ a).astype(total.dtype)
     return tuple(SampleCovariance(size=n, matrix=totals[d] / (m * n)) for d in directions)
 
 
@@ -214,7 +213,11 @@ def refine(sol: MLSolution, size: int | None = None) -> RefinedParam:
     if sol.v_star < 0:
         raise InvalidParameterError(f"vertex weight must be nonnegative, got v* = {sol.v_star}")
     ratio = sol.v_star / sol.w_star
-    if not math.isfinite(4.0 * ratio):
+    scaled = 4.0 * ratio
+    if not math.isfinite(scaled):
         raise InvalidParameterError(f"v*/w* = {ratio} is too large to round to the 0.25 grid")
-    alpha = math.floor(ratio * 4.0 + 0.5) / 4.0
+    # scaled - whole is exact; floor(scaled + 0.5) would round the sum, off
+    # the grid at scaled >= 2^52 (already whole) and up to 1 just below 0.5
+    whole = math.floor(scaled)
+    alpha = (whole + (scaled - whole >= 0.5)) / 4.0
     return RefinedParam(alpha=alpha, size=size if size is not None else 0)

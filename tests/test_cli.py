@@ -152,6 +152,13 @@ def test_refine(capsys):
     assert json.loads(out)["alpha"] == 0.75
 
 
+@pytest.mark.parametrize("v", ["1125899906842624.25", "1125899906842624.75"])
+def test_refine_keeps_huge_on_grid_ratio(capsys, v):
+    code, out, _ = run(capsys, "refine", "--w", "1", "--v", v)
+    assert code == 0
+    assert float(out.removeprefix("alpha: ")) == float(v)
+
+
 @pytest.mark.parametrize("w,v", [("1", "-1"), ("1e-320", "1e300")])
 def test_refine_rejects_negative_or_overflowing_ratio(capsys, w, v):
     code, out, err = run(capsys, "refine", "--w", w, "--v", v)

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import gbst.estimation as estimation
 from gbst.coding import model_covariance, sample_covariance, sample_gmrf, sample_gmrf_blocks
-from gbst.dataset import ResidualDataset, make_dataset
+from gbst.dataset import ResidualDataset, make_dataset, read_gbsr, write_gbsr
 from gbst.errors import (
     DatasetTooLargeError,
     DegenerateGraphError,
@@ -96,12 +96,12 @@ def _exact_moments(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     blocks=st.tuples(st.integers(1, 40), st.integers(2, 8)).flatmap(
         lambda mn: arrays(np.int16, (mn[0], mn[1], mn[1]))
     ),
-    chunk_rows=st.integers(1, 400),
+    chunk_values=st.integers(1, 400),
     data=st.data(),
 )
-def test_integer_moments_exact_for_any_chunk_and_order(blocks, chunk_rows, data):
+def test_integer_moments_exact_for_any_chunk_and_order(blocks, chunk_values, data):
     order = data.draw(st.permutations(range(blocks.shape[0])))
-    with mock.patch.object(estimation, "CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(estimation, "CHUNK_VALUES", chunk_values):
         got = residual_covariances(ResidualDataset(blocks[order]))
         floats = residual_covariances(make_dataset(blocks))
     for cov, want in zip(got, _exact_moments(blocks)):
@@ -109,6 +109,22 @@ def test_integer_moments_exact_for_any_chunk_and_order(blocks, chunk_rows, data)
     # the float path agrees bit for bit while its sums stay exact
     for cov, want in zip(floats, got):
         assert np.array_equal(cov.matrix, want.matrix)
+
+
+@pytest.mark.parametrize("n,count", [(8, 5000), (64, 100)])
+def test_gbsr_moments_exact_across_chunks(tmp_path, n, count):
+    # a memmapped file of several chunks, the last one partial, at the i16 extremes
+    assert count % max(1, estimation.CHUNK_VALUES // (n * n)) != 0
+    assert count * n * n > 2 * estimation.CHUNK_VALUES
+    blocks = np.random.default_rng(n).integers(-32768, 32768, (count, n, n)).astype(np.int16)
+    blocks[0], blocks[count // 2, 0], blocks[-1] = -32768, 32767, 32767
+    write_gbsr(tmp_path / "x.gbsr", ResidualDataset(blocks))
+    dataset = read_gbsr(tmp_path / "x.gbsr")
+    row, col = _exact_moments(blocks)
+    for directions, want in [(("row",), [row]), (("col",), [col]), (("row", "col"), [row, col])]:
+        got = residual_covariances(dataset, directions)
+        for cov, w in zip(got, want, strict=True):
+            assert np.array_equal(cov.matrix, w)
 
 
 def test_residual_covariances_single_direction():
@@ -380,6 +396,11 @@ def test_refine_examples():
     assert refine(sol(1.0, 2.06)).alpha == 2.0
     # exact tie rounds away from zero
     assert refine(sol(1.0, 0.125)).alpha == 0.25
+    # the largest float below 0.125 rounds down, not up through 4 v + 0.5 == 1.0
+    assert refine(sol(1.0, np.nextafter(0.125, 0.0))).alpha == 0.0
+    # a ratio with 4 v*/w* >= 2^52 is a whole number of quarters and stays as it is
+    for v in [2.0**50 + 0.25, 2.0**50 + 0.75, 2.0**51 + 0.5, 2.0**52 + 1.0, 1e300]:
+        assert refine(sol(1.0, v)).alpha == v
     with pytest.raises(DegenerateGraphError):
         refine(sol(0.0, 1.0))
 

@@ -7,7 +7,8 @@ checkout's ``src``.  Every call of a fixed matrix runs once per tree as a
 fresh ``python -m gbst.cli`` process with OPENBLAS_NUM_THREADS=1, in an
 empty working directory of its own.  The matrix covers every command,
 N in {2, 3, 8, 26, 64}, both families, v = 0, v/w = 1e-17 and 1e300,
-generated GBSR files, and usage and data errors.
+generated GBSR files (small ones and ones that span several moment chunks,
+the last one partial), and usage and data errors.
 
 A call differs when its exit code, stdout, stderr or any file it wrote
 differs; the tree's own path is masked in stdout and stderr first.  Each
@@ -63,6 +64,9 @@ def make_data(directory: str) -> list[str]:
 
     for n in SIZES:
         add(f"random{n}.gbsr", np.rint(rng.standard_normal((40, n, n)) * 30))
+    # 5000 and 100 blocks span several chunks of the moment pass, the last one partial
+    add("chunks8.gbsr", np.rint(rng.standard_normal((5000, 8, 8)) * 30))
+    add("chunks64.gbsr", np.rint(rng.standard_normal((100, 64, 64)) * 30))
     add("constant_rows.gbsr", np.full((5, 8, 8), 7.0))
     add("zeros.gbsr", np.zeros((5, 8, 8)))
     add("block100.gbsr", np.ones((1, 100, 100)))
@@ -95,8 +99,8 @@ def call_matrix(data: list[str]) -> list[list[str]]:
                 calls.append(["learn", "--data", path, "--family", fam, "--direction", direction])
             calls.append(["learn", "--data", path, "--family", fam, "--json"])
             calls.append(["sweep", "--data", path, "--family", fam, "--alphas", "0:0.5:3"])
-    for w, v in (("2", "1.6"), ("1", "0.125"), ("1", "-1"), ("-1", "1"), ("0", "1"), ("1e-320", "1e300"),
-                 ("1", "1e308"), ("nan", "1"), ("1", "inf")):
+    for w, v in (("2", "1.6"), ("1", "0.125"), ("1", "1125899906842624.25"), ("1", "-1"), ("-1", "1"),
+                 ("0", "1"), ("1e-320", "1e300"), ("1", "1e308"), ("nan", "1"), ("1", "inf")):
         calls += [["refine", "--w", w, "--v", v], ["refine", "--w", w, "--v", v, "--n", "8", "--json"]]
     calls += [
         [], ["bogus"], ["verify", "--bogus"], ["basis", "--w", "1", "--n", "8"],
