@@ -22,21 +22,31 @@ from .errors import (
 from .estimation import SampleCovariance
 from .graph import (
     GraphFamily, GraphParams, LineGraphLaplacian, build_ggl, check_positive_definite, dense_form,
-    matrix_text,
+    frozen_view, matrix_text,
 )
 from .spectral import TransformMatrix, derive_gbt
+
+# rows per GMRF draw; it fixes the Philox split into Box-Muller u1/u2, so the sample bits
+SAMPLE_CHUNK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
 class IntTransformMatrix:
     """Codec-style integer table: row k holds basis vector k scaled by 64*sqrt(N)."""
 
-    size: int
-    entries: np.ndarray  # (N, N) int
-    scale_shift: float  # log2 of the nominal scale, 6 + log2(N)/2
+    entries: np.ndarray  # (N, N) int, held as a read-only view
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
+        object.__setattr__(self, "entries", frozen_view(self.entries))
+
+    @property
+    def size(self) -> int:
+        return self.entries.shape[0]
+
+    @property
+    def scale_shift(self) -> float:
+        """log2 of the nominal scale, 6 + log2(N)/2."""
+        return 6.0 + 0.5 * math.log2(self.size)
 
 
 @dataclass(frozen=True)
@@ -99,13 +109,11 @@ def _gmrf_chunks(precision: LineGraphLaplacian, count: int, seed: int, chunk: in
     return (_box_muller(gen, m * n).reshape(m, n) @ cinv for m in sizes)
 
 
-def sample_gmrf(
-    precision: LineGraphLaplacian, count: int, seed: int, chunk: int = 1 << 15
-) -> np.ndarray:
+def sample_gmrf(precision: LineGraphLaplacian, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` vectors x ~ N(0, L^{-1}) as rows of a (count, N) array."""
-    chunks = _gmrf_chunks(precision, count, seed, chunk)
+    chunks = _gmrf_chunks(precision, count, seed, SAMPLE_CHUNK_ROWS)
     out = np.empty((count, precision.size))  # before the first draw, so a huge count fails at once
-    for start, x in zip(range(0, count, chunk), chunks):
+    for start, x in zip(range(0, count, SAMPLE_CHUNK_ROWS), chunks):
         out[start : start + len(x)] = x
     return out
 
@@ -113,9 +121,9 @@ def sample_gmrf(
 def sample_covariance(precision: LineGraphLaplacian, count: int, seed: int) -> SampleCovariance:
     """Second-moment matrix of ``count`` GMRF draws, summed chunk by chunk."""
     acc = np.zeros((precision.size, precision.size))
-    for x in _gmrf_chunks(precision, count, seed, 1 << 15):
+    for x in _gmrf_chunks(precision, count, seed, SAMPLE_CHUNK_ROWS):
         acc += x.T @ x
-    return SampleCovariance(size=precision.size, matrix=acc / count)
+    return SampleCovariance(acc / count)
 
 
 def sample_gmrf_blocks(
@@ -143,22 +151,13 @@ def sample_gmrf_blocks(
 
 def model_covariance(lap: LineGraphLaplacian) -> SampleCovariance:
     """Exact covariance L^{-1} of the GMRF with precision L."""
-    return SampleCovariance(size=lap.size, matrix=_factor_precision(lap, np.linalg.inv))
+    return SampleCovariance(_factor_precision(lap, np.linalg.inv))
 
 
 def check_transform_size(transform_n: int, covariance_n: int) -> None:
     """Raise DimensionMismatchError unless the transform and covariance sizes agree."""
     if transform_n != covariance_n:
         raise DimensionMismatchError(f"transform N={transform_n} vs covariance N={covariance_n}")
-
-
-def _coefficient_variances(t: TransformMatrix, cov: SampleCovariance) -> np.ndarray:
-    check_transform_size(t.size, cov.size)
-    try:
-        np.linalg.cholesky(cov.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositiveDefiniteError("covariance must be positive definite") from exc
-    return np.einsum("nk,nm,mk->k", t.basis, cov.matrix, t.basis)
 
 
 def evaluate_metrics(t: TransformMatrix, cov: SampleCovariance) -> CodingMetrics:
@@ -169,7 +168,12 @@ def evaluate_metrics(t: TransformMatrix, cov: SampleCovariance) -> CodingMetrics
     differential entropy of the coefficient variances in bits; it orders
     transforms the same way the geometric mean does.
     """
-    d = _coefficient_variances(t, cov)
+    check_transform_size(t.size, cov.size)
+    try:
+        np.linalg.cholesky(cov.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositiveDefiniteError("covariance must be positive definite") from exc
+    d = np.einsum("nk,nm,mk->k", t.basis, cov.matrix, t.basis)
     n = t.size
     k = max(1, n // 4)
     gain = 10.0 * math.log10((np.trace(cov.matrix) / n) / math.exp(np.log(d).mean()))
@@ -218,11 +222,7 @@ def integerize(t: TransformMatrix) -> IntTransformMatrix:
     worst = np.abs(entries).max()
     if worst > 127:
         raise IntegerOverflowError(f"entry magnitude {int(worst)} exceeds 127")
-    return IntTransformMatrix(
-        size=t.size,
-        entries=entries.astype(np.int64),
-        scale_shift=6.0 + 0.5 * math.log2(t.size),
-    )
+    return IntTransformMatrix(entries.astype(np.int64))
 
 
 def int_matrix_text(m: IntTransformMatrix) -> str:
@@ -266,6 +266,8 @@ def quantize_roundtrip_distortion(
     _, counts = np.unique(q, return_counts=True)  # q holds integers; -0.0 counts as 0
     coeffs -= q
     mse = step**2 * float(np.square(coeffs, out=coeffs).sum()) / blocks.size
+    if not math.isfinite(mse):  # coefficients overflowed float64 at this step
+        raise InvalidParameterError(f"quantization error is not finite at step {step}")
     p = counts / counts.sum()
     entropy = float(-(p * np.log2(p)).sum())
     return mse, entropy

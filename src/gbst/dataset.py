@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetFormatError, EmptyDatasetError, InconsistentBlockSizeError
+from .graph import frozen_view
 
 MAGIC = b"GBSR"
 VERSION = 1
@@ -30,15 +31,17 @@ _HEADER = struct.Struct("<4sBHI")
 
 @dataclass(frozen=True)
 class ResidualDataset:
-    """M residual blocks of size N x N."""
+    """M residual blocks of size N x N, held as a read-only view."""
 
     blocks: np.ndarray  # (M, N, N): float64 in memory, a read-only i16 memmap from a file
 
     def __post_init__(self):
-        # freeze a view of our own, never the caller's array
-        blocks = self.blocks.view()
-        blocks.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
+        blocks = self.blocks
+        if blocks.ndim != 3 or blocks.size == 0:
+            raise EmptyDatasetError(f"expected a nonempty (M, N, N) array, got shape {blocks.shape}")
+        if blocks.shape[1] != blocks.shape[2]:
+            raise InconsistentBlockSizeError(f"blocks must be square, got shape {blocks.shape}")
+        object.__setattr__(self, "blocks", frozen_view(blocks))
 
     @property
     def block_count(self) -> int:
@@ -50,12 +53,7 @@ class ResidualDataset:
 
 
 def make_dataset(blocks: np.ndarray) -> ResidualDataset:
-    blocks = np.asarray(blocks, dtype=float)
-    if blocks.ndim != 3 or blocks.shape[0] == 0:
-        raise EmptyDatasetError(f"expected a nonempty (M, N, N) array, got shape {blocks.shape}")
-    if blocks.shape[1] != blocks.shape[2]:
-        raise InconsistentBlockSizeError(f"blocks must be square, got shape {blocks.shape}")
-    return ResidualDataset(blocks=blocks)
+    return ResidualDataset(np.asarray(blocks, dtype=float))
 
 
 def write_gbsr(path, dataset: ResidualDataset) -> None:

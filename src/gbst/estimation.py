@@ -23,24 +23,21 @@ from .errors import (
     DatasetTooLargeError,
     DegenerateGraphError,
     DegenerateInputError,
-    EmptyDatasetError,
-    InconsistentBlockSizeError,
     InvalidParameterError,
 )
-from .graph import GraphFamily, GraphParams, build_ggl, check_positive_definite
+from .graph import GraphFamily, GraphParams, build_ggl, check_positive_definite, frozen_view
 
 
 @dataclass(frozen=True)
 class SampleCovariance:
-    """Symmetric PSD N x N second-moment matrix of rows or columns."""
+    """Symmetric PSD N x N second-moment matrix of rows or columns, held as a read-only view."""
 
-    size: int
     matrix: np.ndarray
 
     def __post_init__(self):
         m = self.matrix
-        if m.shape != (self.size, self.size):
-            raise DegenerateInputError(f"covariance shape {m.shape} does not match N={self.size}")
+        if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
+            raise DegenerateInputError(f"covariance must be square and nonempty, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise DegenerateInputError("covariance has non-finite entries")
         scale = max(1.0, float(np.abs(m).max()))
@@ -49,10 +46,11 @@ class SampleCovariance:
         tr = float(np.trace(m))
         if np.linalg.eigvalsh(m).min() < -1e-9 * max(tr, 0.0) / self.size:
             raise DegenerateInputError("covariance is not positive semidefinite")
-        # freeze a view of our own, never the caller's array
-        m = m.view()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", frozen_view(m))
+
+    @property
+    def size(self) -> int:
+        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -113,10 +111,6 @@ def residual_covariances(
     chunk size, any block order and any set of directions.
     """
     blocks = dataset.blocks
-    if blocks.shape[0] == 0:
-        raise EmptyDatasetError("dataset has no blocks")
-    if blocks.shape[1] != blocks.shape[2]:
-        raise InconsistentBlockSizeError(f"blocks are not square: {blocks.shape}")
     for d in directions:
         if d not in DIRECTIONS:
             raise InvalidParameterError(f"direction must be one of {DIRECTIONS}, got {d!r}")
@@ -134,7 +128,7 @@ def residual_covariances(
         for d, total in totals.items():
             np.copyto(buf, chunk if d == "row" else chunk.transpose(0, 2, 1))
             total += (a.T @ a).astype(total.dtype)
-    return tuple(SampleCovariance(size=n, matrix=totals[d] / (m * n)) for d in directions)
+    return tuple(SampleCovariance(totals[d] / (m * n)) for d in directions)
 
 
 def _path_moments(family: GraphFamily, cov: SampleCovariance) -> tuple[int, float, float]:

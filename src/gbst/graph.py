@@ -99,6 +99,13 @@ def check_size(n: int) -> None:
         raise InvalidDimensionError(f"size must be an integer in [{N_MIN}, {N_MAX}], got {n}")
 
 
+def frozen_view(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; the caller's array keeps its own flags."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
 def check_positive_definite(params: GraphParams) -> None:
     """Raise NonPositiveDefiniteError unless w > 0 and v > 0, which is when det L = v w^(N-1) > 0."""
     if not (params.edge_weight > 0 and params.vertex_weight > 0):

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DecompositionError, DimensionMismatchError
-from .graph import LineGraphLaplacian, dense_form, matrix_text
+from .graph import LineGraphLaplacian, dense_form, frozen_view, matrix_text
 
 SIGN_EPS = 1e-12
 EIGENVALUE_GAP_MIN = 1e-12
@@ -29,16 +29,24 @@ GBT_CACHE_SIZE = 256
 class TransformMatrix:
     """Orthonormal basis: column k of ``basis`` is the k-th basis vector.
 
-    ``eigenvalues`` is ascending; entry k belongs to column k.
+    ``eigenvalues`` is ascending; entry k belongs to column k.  Both are read-only views.
     """
 
-    size: int
     basis: np.ndarray
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        self.basis.setflags(write=False)
-        self.eigenvalues.setflags(write=False)
+        b, e = self.basis, self.eigenvalues
+        if b.ndim != 2 or b.shape[0] != b.shape[1] or e.shape != b.shape[:1]:
+            raise DimensionMismatchError(
+                f"basis {b.shape} and eigenvalues {e.shape} are not (N, N) and (N,)"
+            )
+        object.__setattr__(self, "basis", frozen_view(b))
+        object.__setattr__(self, "eigenvalues", frozen_view(e))
+
+    @property
+    def size(self) -> int:
+        return self.basis.shape[0]
 
 
 def canonical_signs(basis: np.ndarray) -> np.ndarray:
@@ -77,7 +85,7 @@ def derive_gbt(lap: LineGraphLaplacian) -> TransformMatrix:
     if vals[0] < floor:
         raise DecompositionError(f"negative eigenvalue {vals[0]:.3e} from a PSD Laplacian")
     vals = np.maximum(vals, 0.0)
-    return TransformMatrix(size=lap.size, basis=canonical_signs(vecs), eigenvalues=vals)
+    return TransformMatrix(canonical_signs(vecs), vals)
 
 
 def apply_separable(block: np.ndarray, row_t: TransformMatrix, col_t: TransformMatrix) -> np.ndarray:

@@ -74,7 +74,7 @@ def trig_matrix(kind: TrigTransformKind, n: int) -> TransformMatrix:
     """Orthonormal closed-form matrix, canonicalized like the graph route."""
     check_size(n)
     basis = canonical_signs(_entries(kind, n))
-    return TransformMatrix(size=int(n), basis=basis, eigenvalues=_eigenvalues(kind, n))
+    return TransformMatrix(basis, _eigenvalues(kind, n))
 
 
 # kind -> (vertex/edge ratio, required family or None for either)

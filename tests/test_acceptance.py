@@ -90,7 +90,7 @@ def test_criterion_4_gradient_check():
         family = L1 if rng.random() < 0.5 else L2
         w, v = rng.uniform(0.3, 3, 2)
         a = rng.standard_normal((n, n))
-        s = SampleCovariance(n, a @ a.T / n + 0.1 * np.eye(n))
+        s = SampleCovariance(a @ a.T / n + 0.1 * np.eye(n))
         g = np.array(ml_gradient(GraphParams(w, v, family), s))
         fd = np.array(
             [
@@ -111,7 +111,7 @@ def test_criterion_5_convexity_probe():
     for _ in range(1000):
         n = int(rng.choice([4, 8]))
         a = rng.standard_normal((n, n))
-        s = SampleCovariance(n, a @ a.T / n + 0.1 * np.eye(n))
+        s = SampleCovariance(a @ a.T / n + 0.1 * np.eye(n))
         p1 = rng.uniform(0.2, 4, 2)
         p2 = rng.uniform(0.2, 4, 2)
         f1 = ml_objective(GraphParams(*p1, L1), s)

@@ -43,7 +43,7 @@ def test_verify_negative_control(capsys, monkeypatch):
         t = real(kind, n)
         basis = t.basis.copy()
         basis[0, 0] += 1e-3
-        return type(t)(t.size, basis, t.eigenvalues.copy())
+        return type(t)(basis, t.eigenvalues.copy())
 
     monkeypatch.setattr(trig, "trig_matrix", broken)
     code, out, _ = run(capsys, "verify")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gbst import coding
 from gbst.coding import (
     _box_muller,
     alpha_sweep,
@@ -32,7 +33,7 @@ K = TrigTransformKind
 
 
 def identity_transform(n):
-    return TransformMatrix(n, np.eye(n), np.zeros(n))
+    return TransformMatrix(np.eye(n), np.zeros(n))
 
 
 def test_round_half_away():
@@ -117,10 +118,11 @@ def _philox_draws(seed, sizes):
 
 
 @pytest.mark.parametrize("n, count, chunk", [(8, 1000, 300), (5, 100, 7)])
-def test_sample_gmrf_pins_philox_stream(n, count, chunk):
+def test_sample_gmrf_pins_philox_stream(monkeypatch, n, count, chunk):
     # x = g C^{-1} with L = C C^T, so x C gives back the Box-Muller draws g
+    monkeypatch.setattr(coding, "SAMPLE_CHUNK_ROWS", chunk)
     lap = build_ggl(GraphParams(1.3, 0.7, L2), n)
-    x = sample_gmrf(lap, count, seed=11, chunk=chunk)
+    x = sample_gmrf(lap, count, seed=11)
     sizes = [min(chunk, count - start) * n for start in range(0, count, chunk)]
     g = np.concatenate(_philox_draws(11, sizes)).reshape(count, n)
     assert np.abs(x @ np.linalg.cholesky(dense_form(lap)) - g).max() <= 1e-12
@@ -137,13 +139,13 @@ def test_sample_gmrf_blocks_pins_philox_stream():
 
 
 def test_coding_gain_isotropic_is_zero():
-    s = SampleCovariance(8, np.eye(8))
+    s = SampleCovariance(np.eye(8))
     for t in (identity_transform(8), trig_matrix(K.DCT2, 8)):
         assert evaluate_metrics(t, s).coding_gain_db == pytest.approx(0.0, abs=1e-12)
 
 
 def test_coding_gain_hand_case():
-    s = SampleCovariance(2, np.diag([4.0, 1.0]))
+    s = SampleCovariance(np.diag([4.0, 1.0]))
     g = evaluate_metrics(identity_transform(2), s).coding_gain_db
     assert g == pytest.approx(10 * np.log10(2.5 / 2.0), abs=1e-12)
 
@@ -168,7 +170,7 @@ def test_coding_gain_matched_transform_is_klt():
 
 def test_coding_gain_rejects_non_pd():
     with pytest.raises(NonPositiveDefiniteError):
-        evaluate_metrics(identity_transform(2), SampleCovariance(2, np.diag([1.0, 0.0])))
+        evaluate_metrics(identity_transform(2), SampleCovariance(np.diag([1.0, 0.0])))
 
 
 def test_evaluate_metrics_ranges():
@@ -255,7 +257,7 @@ def test_int_matrix_text_bytes(n, family):
 
 
 def test_int_matrix_text_extremes():
-    m = IntTransformMatrix(2, np.array([[-127, 127], [0, -1]]), 6.5)
+    m = IntTransformMatrix(np.array([[-127, 127], [0, -1]]))
     assert int_matrix_text(m) == "INTGBT N=2 shift=6.5\n-127 127\n0 -1\n"
 
 
@@ -348,6 +350,15 @@ def test_quantize_non_finite_blocks_rejected(shape, bad):
     blocks[..., 1, 2] = bad
     with pytest.raises(InvalidParameterError, match="blocks must be finite"):
         quantize_roundtrip_distortion(blocks, t, t, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value, step", [(1e308, 1.0), (1.0, 1e-320)])
+def test_quantize_rejects_overflowing_coefficients(value, step):
+    # finite blocks whose coefficients overflow float64 give a NaN error, never a number
+    t = trig_matrix(K.DCT2, 4)
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        quantize_roundtrip_distortion(np.full((3, 4, 4), value), t, t, step)
 
 
 def test_matched_transform_beats_dct2_at_equal_entropy():

@@ -34,20 +34,20 @@ L1, L2 = GraphFamily.L1, GraphFamily.L2
 
 def random_cov(rng, n, ridge=0.1):
     a = rng.standard_normal((n, n))
-    return SampleCovariance(n, a @ a.T / n + ridge * np.eye(n))
+    return SampleCovariance(a @ a.T / n + ridge * np.eye(n))
 
 
 def test_covariance_validation():
     with pytest.raises(DegenerateInputError):
-        SampleCovariance(2, np.array([[1.0, 0.5], [0.0, 1.0]]))  # asymmetric
+        SampleCovariance(np.array([[1.0, 0.5], [0.0, 1.0]]))  # asymmetric
     with pytest.raises(DegenerateInputError):
-        SampleCovariance(2, np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+        SampleCovariance(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_covariance_rejected(bad):
     with pytest.raises(DegenerateInputError, match="non-finite"):
-        SampleCovariance(2, np.array([[bad, 0.0], [0.0, 1.0]]))
+        SampleCovariance(np.array([[bad, 0.0], [0.0, 1.0]]))
     blocks = np.ones((3, 4, 4))
     blocks[1, 2, 3] = bad
     for direction in ("row", "col"):
@@ -148,7 +148,7 @@ def test_residual_covariances_int64_headroom(monkeypatch):
 
 def test_sample_covariance_leaves_caller_array_writeable():
     m = np.eye(4)
-    cov = SampleCovariance(4, m)
+    cov = SampleCovariance(m)
     assert m.flags.writeable
     assert not cov.matrix.flags.writeable
 
@@ -187,9 +187,9 @@ def test_empty_dataset_error():
 
 
 def test_objective_hand_cases():
-    s_eye = SampleCovariance(2, np.eye(2))
+    s_eye = SampleCovariance(np.eye(2))
     assert ml_objective(GraphParams(1, 1, L1), s_eye) == pytest.approx(3.0, abs=1e-12)
-    linv = SampleCovariance(2, np.array([[1.0, 1.0], [1.0, 2.0]]))
+    linv = SampleCovariance(np.array([[1.0, 1.0], [1.0, 2.0]]))
     assert ml_objective(GraphParams(1, 1, L1), linv) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -207,7 +207,7 @@ def test_objective_homogeneity():
 def test_objective_rejects_non_pd():
     with pytest.raises(NonPositiveDefiniteError):
         # w=0 interior assumption violated: matrix diag(v,0,...,0) is singular
-        ml_objective(GraphParams(0, 1, L1), SampleCovariance(4, np.eye(4)))
+        ml_objective(GraphParams(0, 1, L1), SampleCovariance(np.eye(4)))
 
 
 def log_uniform(lo, hi):
@@ -271,7 +271,7 @@ def test_gradient_zero_at_generating_model():
 
 def test_gradient_hand_case_n2():
     # d/dw of (2w + v - log(vw)) at (1,1) is 1; d/dv is 0
-    d_w, d_v = ml_gradient(GraphParams(1, 1, L1), SampleCovariance(2, np.eye(2)))
+    d_w, d_v = ml_gradient(GraphParams(1, 1, L1), SampleCovariance(np.eye(2)))
     assert d_w == pytest.approx(1.0, abs=1e-12)
     assert d_v == pytest.approx(0.0, abs=1e-12)
 
@@ -321,7 +321,7 @@ def test_exact_recovery(n, family):
 def test_statistical_recovery_small():
     lap = build_ggl(GraphParams(1, 2, L2), 4)
     x = sample_gmrf(lap, 1_000_000, seed=21)
-    s = SampleCovariance(4, x.T @ x / len(x))
+    s = SampleCovariance(x.T @ x / len(x))
     sol = solve_ml(s, L2)
     assert 1.9 <= sol.ratio <= 2.1
 
@@ -331,14 +331,14 @@ def test_scale_equivariance():
     s = model_covariance(lap)
     sol = solve_ml(s, L1)
     for c in (0.5, 3.0):
-        scaled = solve_ml(SampleCovariance(8, c * s.matrix), L1)
+        scaled = solve_ml(SampleCovariance(c * s.matrix), L1)
         assert scaled.w_star == pytest.approx(sol.w_star / c, rel=1e-5)
         assert scaled.v_star == pytest.approx(sol.v_star / c, rel=1e-5)
         assert refine(scaled).alpha == refine(sol).alpha
 
 
 def test_white_covariance_runs_to_interior_or_boundary():
-    sol = solve_ml(SampleCovariance(8, np.eye(8)), L1)
+    sol = solve_ml(SampleCovariance(np.eye(8)), L1)
     assert sol.converged
     assert np.isfinite(sol.objective)
 
@@ -377,14 +377,14 @@ def test_closed_form_fit_properties(n, family, seed, c):
     assert sol.objective == pytest.approx(ml_objective(params, s), rel=1e-9)
     assert (sol.converged, sol.iterations, sol.boundary) == (True, 0, False)
     # scaling S by a power of two scales both weights by exactly 1/c
-    scaled = solve_ml(SampleCovariance(n, c * s.matrix), family)
+    scaled = solve_ml(SampleCovariance(c * s.matrix), family)
     assert scaled.w_star == sol.w_star / c
     assert scaled.v_star == sol.v_star / c
 
 
 def test_gradient_rejects_non_pd():
     with pytest.raises(NonPositiveDefiniteError):
-        ml_gradient(GraphParams(1, 0, L1), SampleCovariance(4, np.eye(4)))
+        ml_gradient(GraphParams(1, 0, L1), SampleCovariance(np.eye(4)))
 
 
 def test_refine_examples():

@@ -24,7 +24,7 @@ SIZES = (4, 8, 16, 32)
 
 
 def identity_transform(n):
-    return TransformMatrix(n, np.eye(n), np.zeros(n))
+    return TransformMatrix(np.eye(n), np.zeros(n))
 
 
 def test_dct2_correspondence():

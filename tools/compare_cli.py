@@ -8,7 +8,8 @@ fresh ``python -m gbst.cli`` process with OPENBLAS_NUM_THREADS=1, in an
 empty working directory of its own.  The matrix covers every command,
 N in {2, 3, 8, 26, 64}, both families, v = 0, v/w = 1e-17 and 1e300,
 generated GBSR files (small ones and ones that span several moment chunks,
-the last one partial), and usage and data errors.
+the last one partial), ``sweep --data`` with a matching and a mismatched
+``--n``, and usage and data errors.
 
 A call differs when its exit code, stdout, stderr or any file it wrote
 differs; the tree's own path is masked in stdout and stderr first.  Each
@@ -99,6 +100,9 @@ def call_matrix(data: list[str]) -> list[list[str]]:
                 calls.append(["learn", "--data", path, "--family", fam, "--direction", direction])
             calls.append(["learn", "--data", path, "--family", fam, "--json"])
             calls.append(["sweep", "--data", path, "--family", fam, "--alphas", "0:0.5:3"])
+    # an --n that matches the file's N, and one that does not
+    random8 = next(p for p in data if p.endswith("random8.gbsr"))
+    calls += [["sweep", "--data", random8, "--n", n, "--alphas", "0:0.5:3"] for n in ("8", "16")]
     for w, v in (("2", "1.6"), ("1", "0.125"), ("1", "1125899906842624.25"), ("1", "-1"), ("-1", "1"),
                  ("0", "1"), ("1e-320", "1e300"), ("1", "1e308"), ("nan", "1"), ("1", "inf")):
         calls += [["refine", "--w", w, "--v", v], ["refine", "--w", w, "--v", v, "--n", "8", "--json"]]
