@@ -119,7 +119,7 @@ def _parse_alphas(spec: str, parser) -> list[float]:
         parser.error(f"--alphas must be start:step:end, got {spec!r}")
     if not all(math.isfinite(x) for x in (start, step, end)):
         parser.error(f"--alphas parts must be finite, got {spec!r}")
-    if step <= 0 or round(step * 4) != step * 4:
+    if step <= 0 or not (step * 4).is_integer():  # a huge step overflows step * 4 to inf
         parser.error(f"--alphas step must be a positive multiple of 0.25, got {step}")
     span = (end - start) / step
     if span >= _MAX_ALPHAS:  # checked before the list is built

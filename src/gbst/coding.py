@@ -24,7 +24,7 @@ from .graph import (
     GraphFamily, GraphParams, LineGraphLaplacian, build_ggl, check_positive_definite, dense_form,
     frozen_view, matrix_text,
 )
-from .spectral import TransformMatrix, derive_gbt
+from .spectral import TransformMatrix, apply_separable, derive_gbt
 
 # rows per GMRF draw; it fixes the Philox split into Box-Muller u1/u2, so the sample bits
 SAMPLE_CHUNK_ROWS = 1 << 15
@@ -37,7 +37,12 @@ class IntTransformMatrix:
     entries: np.ndarray  # (N, N) int, held as a read-only view
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", frozen_view(self.entries))
+        e = frozen_view(self.entries)
+        if e.ndim != 2 or e.shape[0] != e.shape[1]:
+            raise DimensionMismatchError(f"integer table {e.shape} is not (N, N)")
+        if not np.issubdtype(e.dtype, np.integer):
+            raise InvalidParameterError(f"integer table has dtype {e.dtype}, not an integer type")
+        object.__setattr__(self, "entries", e)
 
     @property
     def size(self) -> int:
@@ -144,9 +149,7 @@ def sample_gmrf_blocks(
     n = row_precision.size
     cinv_col = _inverse_cholesky(col_precision)
     (zb,) = _gmrf_chunks(row_precision, count * n, seed, count * n)
-    # left-multiply every block by C_col^{-T} in one product over the (n, count*n) layout
-    out = cinv_col.T @ zb.reshape(count, n, n).transpose(1, 0, 2).reshape(n, count * n)
-    return out.reshape(n, count, n).transpose(1, 0, 2)
+    return cinv_col.T @ zb.reshape(count, n, n)
 
 
 def model_covariance(lap: LineGraphLaplacian) -> SampleCovariance:
@@ -247,25 +250,20 @@ def quantize_roundtrip_distortion(
     """
     if not 0 < step < math.inf:
         raise InvalidParameterError(f"step must be positive and finite, got {step}")
-    blocks = np.asarray(blocks, dtype=float)
-    if blocks.ndim == 2:
-        blocks = blocks[None]
-    if blocks.shape[1:] != (col_t.size, row_t.size) or row_t.size != col_t.size:
-        raise DimensionMismatchError(
-            f"block {blocks.shape[1:]} vs transforms ({col_t.size}, {row_t.size})"
-        )
-    if len(blocks) == 0:
-        raise InvalidParameterError("no blocks to quantize")
-    if not np.isfinite(blocks).all():
-        raise InvalidParameterError("blocks must be finite")
-    # one product over the whole stack: U_col^T X U_row per block, in place
-    # where possible, so the stack has few full-size temporaries
-    coeffs = col_t.basis.T @ blocks @ row_t.basis
-    coeffs /= step
-    q = round_half_away(coeffs)
-    _, counts = np.unique(q, return_counts=True)  # q holds integers; -0.0 counts as 0
-    coeffs -= q
-    mse = step**2 * float(np.square(coeffs, out=coeffs).sum()) / blocks.size
+    # the warnings of an overflowing product end in the typed error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one product over the whole stack, then in place where possible,
+        # so the stack has few full-size temporaries
+        coeffs = apply_separable(blocks, row_t, col_t)
+        if coeffs.size == 0:
+            raise InvalidParameterError("no blocks to quantize")
+        if not np.isfinite(blocks).all():
+            raise InvalidParameterError("blocks must be finite")
+        coeffs /= step
+        q = round_half_away(coeffs)
+        _, counts = np.unique(q, return_counts=True)  # q holds integers; -0.0 counts as 0
+        coeffs -= q
+        mse = step**2 * float(np.square(coeffs, out=coeffs).sum()) / coeffs.size
     if not math.isfinite(mse):  # coefficients overflowed float64 at this step
         raise InvalidParameterError(f"quantization error is not finite at step {step}")
     p = counts / counts.sum()

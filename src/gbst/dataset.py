@@ -36,12 +36,12 @@ class ResidualDataset:
     blocks: np.ndarray  # (M, N, N): float64 in memory, a read-only i16 memmap from a file
 
     def __post_init__(self):
-        blocks = self.blocks
+        blocks = frozen_view(self.blocks)
         if blocks.ndim != 3 or blocks.size == 0:
             raise EmptyDatasetError(f"expected a nonempty (M, N, N) array, got shape {blocks.shape}")
         if blocks.shape[1] != blocks.shape[2]:
             raise InconsistentBlockSizeError(f"blocks must be square, got shape {blocks.shape}")
-        object.__setattr__(self, "blocks", frozen_view(blocks))
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def block_count(self) -> int:

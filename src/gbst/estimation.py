@@ -35,7 +35,7 @@ class SampleCovariance:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = self.matrix
+        m = frozen_view(self.matrix)
         if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
             raise DegenerateInputError(f"covariance must be square and nonempty, got shape {m.shape}")
         if not np.isfinite(m).all():
@@ -44,9 +44,9 @@ class SampleCovariance:
         if np.abs(m - m.T).max() > 1e-12 * scale:
             raise DegenerateInputError("covariance is not symmetric")
         tr = float(np.trace(m))
-        if np.linalg.eigvalsh(m).min() < -1e-9 * max(tr, 0.0) / self.size:
+        if np.linalg.eigvalsh(m).min() < -1e-9 * max(tr, 0.0) / len(m):
             raise DegenerateInputError("covariance is not positive semidefinite")
-        object.__setattr__(self, "matrix", frozen_view(m))
+        object.__setattr__(self, "matrix", m)
 
     @property
     def size(self) -> int:

@@ -99,9 +99,9 @@ def check_size(n: int) -> None:
         raise InvalidDimensionError(f"size must be an integer in [{N_MIN}, {N_MAX}], got {n}")
 
 
-def frozen_view(a: np.ndarray) -> np.ndarray:
-    """A read-only view of ``a``; the caller's array keeps its own flags."""
-    view = a.view()
+def frozen_view(a) -> np.ndarray:
+    """A read-only view of ``np.asanyarray(a)``; a memmap stays one, a caller's array keeps its flags."""
+    view = np.asanyarray(a).view()
     view.setflags(write=False)
     return view
 

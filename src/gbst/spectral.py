@@ -36,13 +36,13 @@ class TransformMatrix:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        b, e = self.basis, self.eigenvalues
+        b, e = frozen_view(self.basis), frozen_view(self.eigenvalues)
         if b.ndim != 2 or b.shape[0] != b.shape[1] or e.shape != b.shape[:1]:
             raise DimensionMismatchError(
                 f"basis {b.shape} and eigenvalues {e.shape} are not (N, N) and (N,)"
             )
-        object.__setattr__(self, "basis", frozen_view(b))
-        object.__setattr__(self, "eigenvalues", frozen_view(e))
+        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "eigenvalues", e)
 
     @property
     def size(self) -> int:
@@ -88,24 +88,23 @@ def derive_gbt(lap: LineGraphLaplacian) -> TransformMatrix:
     return TransformMatrix(canonical_signs(vecs), vals)
 
 
+def _check_blocks(blocks: np.ndarray, row_t: TransformMatrix, col_t: TransformMatrix) -> np.ndarray:
+    """``blocks`` as float64: one (N, N) block or an (M, N, N) stack, N the size of both transforms."""
+    blocks = np.asarray(blocks, dtype=float)
+    n = col_t.size
+    if row_t.size != n or blocks.ndim not in (2, 3) or blocks.shape[-2:] != (n, n):
+        raise DimensionMismatchError(f"block {blocks.shape} vs transforms ({n}, {row_t.size})")
+    return blocks
+
+
 def apply_separable(block: np.ndarray, row_t: TransformMatrix, col_t: TransformMatrix) -> np.ndarray:
-    """Forward separable transform: U_col^T X U_row."""
-    block = np.asarray(block, dtype=float)
-    if block.shape != (col_t.size, row_t.size) or row_t.size != col_t.size:
-        raise DimensionMismatchError(
-            f"block {block.shape} vs transforms ({col_t.size}, {row_t.size})"
-        )
-    return col_t.basis.T @ block @ row_t.basis
+    """Forward separable transform U_col^T X U_row of one block or of each block of a stack."""
+    return col_t.basis.T @ _check_blocks(block, row_t, col_t) @ row_t.basis
 
 
 def inverse_separable(coeffs: np.ndarray, row_t: TransformMatrix, col_t: TransformMatrix) -> np.ndarray:
     """Inverse of apply_separable: U_col Xhat U_row^T."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (col_t.size, row_t.size) or row_t.size != col_t.size:
-        raise DimensionMismatchError(
-            f"coefficients {coeffs.shape} vs transforms ({col_t.size}, {row_t.size})"
-        )
-    return col_t.basis @ coeffs @ row_t.basis.T
+    return col_t.basis @ _check_blocks(coeffs, row_t, col_t) @ row_t.basis.T
 
 
 def gbt_dump(t: TransformMatrix, lap: LineGraphLaplacian) -> str:

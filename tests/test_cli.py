@@ -378,6 +378,9 @@ def test_sweep_model_needs_n(capsys):
         (["sweep", "--alphas", "0:0.25:1"], "sweep needs --data or --model-v"),
         (["sweep", "--alphas", "0:0.25:1", "--model-v", "1"], "sweep --model-v needs --n"),
         (["gen-matrix", "--n", "8"], "gen-matrix needs --kind or both --w and --v"),
+        # step * 4 overflows to inf
+        (["sweep", "--n", "8", "--model-v", "1", "--alphas", "0:1e308:1e308"],
+         "--alphas step must be a positive multiple of 0.25, got 1e+308"),
     ],
 )
 def test_command_usage_errors_name_the_subcommand(capsys, argv, message):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -352,13 +354,15 @@ def test_quantize_non_finite_blocks_rejected(shape, bad):
         quantize_roundtrip_distortion(blocks, t, t, 1.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value, step", [(1e308, 1.0), (1.0, 1e-320)])
 def test_quantize_rejects_overflowing_coefficients(value, step):
-    # finite blocks whose coefficients overflow float64 give a NaN error, never a number
+    # finite blocks whose coefficients overflow float64 give a NaN error, never a number,
+    # and numpy's overflow warnings do not reach the caller
     t = trig_matrix(K.DCT2, 4)
-    with pytest.raises(InvalidParameterError, match="not finite"):
-        quantize_roundtrip_distortion(np.full((3, 4, 4), value), t, t, step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            quantize_roundtrip_distortion(np.full((3, 4, 4), value), t, t, step)
 
 
 def test_matched_transform_beats_dct2_at_equal_entropy():

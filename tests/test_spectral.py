@@ -162,6 +162,13 @@ def test_derive_gbt_cache_keys_on_the_graph_value():
     assert not np.array_equal(b.basis, a.basis)
 
 
+def stack_matches_loop(transform, x, row_t, col_t):
+    """``transform`` of an (M, N, N) stack, asserted equal bit for bit to the per-block loop."""
+    y = transform(x, row_t, col_t)
+    assert y.tobytes() == np.stack([transform(b, row_t, col_t) for b in x]).tobytes()
+    return y
+
+
 def test_apply_separable_identity():
     t = identity_transform(4)
     x = np.eye(4)
@@ -175,6 +182,9 @@ def test_energy_preservation():
     x = rng.standard_normal((8, 8))
     y = apply_separable(x, row_t, col_t)
     assert abs(np.linalg.norm(y) - np.linalg.norm(x)) < 1e-10
+    xs = rng.standard_normal((5, 8, 8))
+    ys = stack_matches_loop(apply_separable, xs, row_t, col_t)
+    assert np.abs(np.linalg.norm(ys, axis=(1, 2)) - np.linalg.norm(xs, axis=(1, 2))).max() < 1e-10
 
 
 def test_rank_one_block_maps_to_single_coefficient():
@@ -192,18 +202,27 @@ def test_round_trip():
     rng = np.random.default_rng(2)
     row_t = derive_gbt(build_ggl(GraphParams(1, 0.5, L1), 8))
     col_t = derive_gbt(build_ggl(GraphParams(1, 0.5, L1), 8))
-    x = rng.standard_normal((8, 8))
-    back = inverse_separable(apply_separable(x, row_t, col_t), row_t, col_t)
-    assert np.abs(back - x).max() <= 1e-10
-    assert np.array_equal(inverse_separable(np.zeros((8, 8)), row_t, col_t), np.zeros((8, 8)))
+    for x in (rng.standard_normal((8, 8)), rng.standard_normal((7, 8, 8))):
+        coeffs = apply_separable(x, row_t, col_t)
+        back = inverse_separable(coeffs, row_t, col_t)
+        assert np.abs(back - x).max() <= 1e-10
+        if x.ndim == 3:
+            stack_matches_loop(apply_separable, x, row_t, col_t)
+            stack_matches_loop(inverse_separable, coeffs, row_t, col_t)
+    for zeros in (np.zeros((8, 8)), np.zeros((3, 8, 8))):
+        assert np.array_equal(inverse_separable(zeros, row_t, col_t), zeros)
 
 
 def test_round_trip_n32_dst7_graph():
     rng = np.random.default_rng(3)
     t = derive_gbt(build_ggl(GraphParams(1, 1, L1), 32))
-    x = rng.standard_normal((32, 32))
-    back = inverse_separable(apply_separable(x, t, t), t, t)
-    assert np.abs(back - x).max() <= 1e-9
+    for x in (rng.standard_normal((32, 32)), rng.standard_normal((4, 32, 32))):
+        coeffs = apply_separable(x, t, t)
+        back = inverse_separable(coeffs, t, t)
+        assert np.abs(back - x).max() <= 1e-9
+        if x.ndim == 3:
+            stack_matches_loop(apply_separable, x, t, t)
+            stack_matches_loop(inverse_separable, coeffs, t, t)
 
 
 def test_dimension_mismatch():
@@ -213,6 +232,10 @@ def test_dimension_mismatch():
         apply_separable(np.zeros((4, 4)), t4, t8)
     with pytest.raises(DimensionMismatchError):
         inverse_separable(np.zeros((8, 4)), t4, t4)
+    for shape in ((4,), (1, 2, 4, 4)):
+        for transform in (apply_separable, inverse_separable):
+            with pytest.raises(DimensionMismatchError, match=r"vs transforms \(4, 4\)"):
+                transform(np.zeros(shape), t4, t4)
 
 
 def test_gbt_dump_header():

@@ -12,6 +12,7 @@ from gbst.errors import (
     DimensionMismatchError,
     EmptyDatasetError,
     InconsistentBlockSizeError,
+    InvalidParameterError,
 )
 from gbst.estimation import SampleCovariance
 from gbst.spectral import TransformMatrix
@@ -44,6 +45,19 @@ def test_value_freezes_a_view_of_its_own(name, n):
             held[(0,) * held.ndim] = 1
 
 
+@pytest.mark.parametrize("name", list(_values(2)))
+@pytest.mark.parametrize("n", [2, 5])
+def test_value_from_nested_lists_equals_value_from_arrays(name, n):
+    make, arrays, fields, size = _values(n)[name]
+    from_lists = make(*(a.tolist() for a in arrays))
+    from_arrays = make(*arrays)
+    assert getattr(from_lists, size) == n
+    for field in fields:
+        held, want = getattr(from_lists, field), getattr(from_arrays, field)
+        assert held.dtype == want.dtype and np.array_equal(held, want)
+        assert not held.flags.writeable
+
+
 def test_int_table_scale_shift_follows_its_size():
     for n in range(2, 65):
         m = IntTransformMatrix(np.zeros((n, n), dtype=np.int64))
@@ -63,6 +77,8 @@ BAD_SHAPES = {
     "covariance-not-square": (lambda: SampleCovariance(np.eye(4)[:3]), DegenerateInputError),
     "covariance-1d": (lambda: SampleCovariance(np.ones(4)), DegenerateInputError),
     "covariance-empty": (lambda: SampleCovariance(np.zeros((0, 0))), DegenerateInputError),
+    "int-table-not-square": (lambda: IntTransformMatrix(np.zeros((3, 5), dtype=int)), DimensionMismatchError),
+    "int-table-not-integer": (lambda: IntTransformMatrix(np.full((2, 2), 0.7)), InvalidParameterError),
 }
 
 

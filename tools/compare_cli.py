@@ -111,6 +111,7 @@ def call_matrix(data: list[str]) -> list[list[str]]:
         ["sample", "--w", "1", "--v", "1", "--n", "4", "--count", "0"],
         ["sample", "--w", "1", "--v", "1", "--n", "4", "--count", "2", "--seed", "-1"],
         ["sweep", "--n", "8", "--alphas", "0:0.3:1", "--model-v", "1"],
+        ["sweep", "--n", "8", "--model-v", "1", "--alphas", "0:1e308:1e308"],
         ["sweep", "--alphas", "0:0.25:1"], ["gen-matrix", "--n", "8"],
         ["gen-matrix", "--w", "1", "--v", "1", "--n", "8", "--out", "missing_dir/t.txt"],
     ]
