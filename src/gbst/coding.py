@@ -38,8 +38,8 @@ class IntTransformMatrix:
 
     def __post_init__(self):
         e = frozen_view(self.entries)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise DimensionMismatchError(f"integer table {e.shape} is not (N, N)")
+        if e.ndim != 2 or e.shape[0] != e.shape[1] or e.size == 0:
+            raise DimensionMismatchError(f"integer table {e.shape} is not (N, N) with N >= 1")
         if not np.issubdtype(e.dtype, np.integer):
             raise InvalidParameterError(f"integer table has dtype {e.dtype}, not an integer type")
         object.__setattr__(self, "entries", e)
@@ -63,9 +63,15 @@ class CodingMetrics:
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, ties away from zero (not banker's)."""
-    r = np.floor(np.abs(x) + 0.5)
-    r *= np.sign(x)  # in place: one full-size temporary fewer on a block stack
-    return r
+    # |x| - floor(|x|) is exact, where floor(|x| + 0.5) rounds 0.49999999999999994
+    # to 1 and 2^52 + 1 to 2^52 + 2
+    a = np.abs(x)
+    r = np.floor(a)
+    with np.errstate(invalid="ignore"):  # inf - inf; r stays inf
+        a -= r
+    r += a >= 0.5
+    del a  # at most two full-size temporaries on a block stack
+    return np.copysign(r, x)
 
 
 def _box_muller(gen: np.random.Generator, count: int) -> np.ndarray:

@@ -17,11 +17,13 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidParameterError, NonPositiveDefiniteError
+from .errors import (
+    DimensionMismatchError, InvalidDimensionError, InvalidParameterError, NonPositiveDefiniteError,
+)
 
 N_MIN = 2
 N_MAX = 64
-# values per % call in matrix_text
+# values per block in matrix_text
 _TEXT_BLOCK = 1 << 15
 
 
@@ -132,13 +134,17 @@ def dense_form(lap: LineGraphLaplacian) -> np.ndarray:
 
 
 def matrix_text(m: np.ndarray) -> str:
-    """Row-major text form: one row per line, space-separated, 17 significant digits."""
-    m = np.atleast_2d(m)
-    n = m.shape[1]
-    row = " ".join(["%.17g"] * n) + "\n"
-    # One % call per block of rows runs the same routine as format(x, ".17g"), so
-    # the bytes match, without a Python call per value.  Blocks bound the tuple
-    # and string temporaries that one call over the whole array would hold.
-    step = max(1, _TEXT_BLOCK // max(n, 1))
-    blocks = (m[i : i + step] for i in range(0, len(m), step))
-    return "".join((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks) or "\n"
+    """Row-major text form: one row per line, space-separated, 17 significant digits.
+
+    Each value of ``m`` as float64 reads as ``format(x, ".17g")``, byte for byte.
+    """
+    # imported here, so commands that print no text do not compile the kernel
+    from ._text import block_text
+
+    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    if m.ndim != 2:
+        raise DimensionMismatchError(f"text form needs a matrix, got shape {m.shape}")
+    if m.size == 0:
+        return "\n" * max(len(m), 1)
+    step = max(1, _TEXT_BLOCK // m.shape[1])
+    return "".join(block_text(m[i : i + step]) for i in range(0, len(m), step))

@@ -37,9 +37,9 @@ class TransformMatrix:
 
     def __post_init__(self):
         b, e = frozen_view(self.basis), frozen_view(self.eigenvalues)
-        if b.ndim != 2 or b.shape[0] != b.shape[1] or e.shape != b.shape[:1]:
+        if b.ndim != 2 or b.shape[0] != b.shape[1] or e.shape != b.shape[:1] or b.size == 0:
             raise DimensionMismatchError(
-                f"basis {b.shape} and eigenvalues {e.shape} are not (N, N) and (N,)"
+                f"basis {b.shape} and eigenvalues {e.shape} are not (N, N) and (N,) with N >= 1"
             )
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "eigenvalues", e)

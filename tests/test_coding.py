@@ -40,6 +40,10 @@ def identity_transform(n):
 
 def test_round_half_away():
     assert np.array_equal(round_half_away(np.array([0.5, 1.5, -0.5, -1.5, 0.49])), [1, 2, -1, -2, 0])
+    # floor(|x| + 0.5) rounds both of these up: |x| + 0.5 is not exact
+    x = np.array([0.49999999999999994, 2.0**52 + 1])
+    assert round_half_away(x).tolist() == [0, 2**52 + 1]
+    assert round_half_away(-x).tolist() == [0, -(2**52 + 1)]
 
 
 def test_sample_gmrf_deterministic():

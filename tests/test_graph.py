@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gbst.errors import InvalidDimensionError, InvalidParameterError
+from gbst.errors import DimensionMismatchError, InvalidDimensionError, InvalidParameterError
 from gbst.graph import (
     GraphFamily,
     GraphParams,
@@ -121,11 +122,27 @@ def per_value_text(m):
         (float("nan"), "nan"),
         (float("inf"), "inf"),
         (float("-inf"), "-inf"),
+        # the fixed-notation window 1e-4 <= |x| < 1e16, its ends and exact 17-digit ties
+        (1e-4, "0.0001"),
+        (-1.5e-4, "-0.00014999999999999999"),
+        (1e-5, "1.0000000000000001e-05"),
+        (0.25, "0.25"),
+        (100.0, "100"),
+        (123.456, "123.456"),
+        (1e15 + 0.5, "1000000000000000.5"),
+        (1234567890123456.25, "1234567890123456.2"),
+        (1234567890123456.75, "1234567890123456.8"),
+        (9999999999999998.0, "9999999999999998"),
+        (1e16, "10000000000000000"),
+        (1e17, "1e+17"),
     ],
 )
 def test_matrix_text_value_bytes(value, text):
     m = np.array([[value, 1.0], [2.0, value]])
     assert matrix_text(m) == f"{text} 1\n2 {text}\n" == per_value_text(m)
+    # 512 values, a quarter of them this one: the kernel's path, not one % call
+    big = np.tile([[value, 1.0], [2.0, 3.0]], (128, 1))
+    assert matrix_text(big) == f"{text} 1\n2 3\n" * 128
 
 
 def test_matrix_text_promotes_1d_and_0d():
@@ -135,6 +152,11 @@ def test_matrix_text_promotes_1d_and_0d():
 
 def test_matrix_text_no_rows():
     assert matrix_text(np.empty((0, 8))) == "\n" == per_value_text(np.empty((0, 8)))
+
+
+def test_matrix_text_rejects_more_than_two_dimensions():
+    with pytest.raises(DimensionMismatchError):
+        matrix_text(np.ones((2, 2, 2)))
 
 
 @st.composite
@@ -152,6 +174,47 @@ def text_matrices(draw):
 @settings(max_examples=40, deadline=None)
 @given(m=text_matrices())
 def test_matrix_text_matches_per_value_format(m):
+    assert matrix_text(m) == per_value_text(m)
+
+
+# every power of ten from 1e-4 to 1e16 and the doubles on either side of it
+POWER_EDGES = [
+    v for k in range(-4, 17) for p in [float(f"1e{k}")] for v in (np.nextafter(p, 0), p, np.nextafter(p, np.inf))
+]
+# zeros, specials, a subnormal and values just outside the window
+OUTSIDE_WINDOW = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-5, 1e17]
+
+
+def test_matrix_text_power_of_ten_edges():
+    m = np.tile([POWER_EDGES, [-v for v in POWER_EDGES]], (3, 1))  # 378 values, enough for the kernel
+    assert matrix_text(m) == per_value_text(m)
+    assert matrix_text(m.T) == per_value_text(m.T)
+
+
+window_values = st.one_of(
+    st.integers(-4, 15).flatmap(lambda k: st.floats(float(f"1e{k}"), float(f"1e{k + 1}"), exclude_max=True)),
+    st.integers(1, 10**16).map(float),
+    st.builds(lambda m, k: m / 10**k, st.integers(1, 10**6), st.integers(0, 4)),
+    st.sampled_from(POWER_EDGES + [0.25, 1e15 + 0.5, 1234567890123456.25, 1234567890123456.75]),
+)
+
+
+@st.composite
+def window_matrices(draw):
+    # values inside the window of both signs, with values outside it mixed into
+    # the same rows, in shapes at the 2^15-value block edges
+    n = draw(st.sampled_from([1, 2, 3, 8, 64]))
+    per_block = (1 << 15) // n
+    rows = draw(st.sampled_from([1, per_block - 1, per_block, per_block + 1, 2 * per_block + 1]))
+    inside = draw(st.lists(st.tuples(window_values, st.booleans()), min_size=1, max_size=48))
+    pool = [-v if neg else v for v, neg in inside] + draw(st.lists(st.sampled_from(OUTSIDE_WINDOW), max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(np.array(pool), size=(rows, n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=window_matrices())
+def test_matrix_text_window_matches_per_value_format(m):
     assert matrix_text(m) == per_value_text(m)
 
 

@@ -79,6 +79,8 @@ BAD_SHAPES = {
     "covariance-empty": (lambda: SampleCovariance(np.zeros((0, 0))), DegenerateInputError),
     "int-table-not-square": (lambda: IntTransformMatrix(np.zeros((3, 5), dtype=int)), DimensionMismatchError),
     "int-table-not-integer": (lambda: IntTransformMatrix(np.full((2, 2), 0.7)), InvalidParameterError),
+    "basis-empty": (lambda: TransformMatrix(np.zeros((0, 0)), np.zeros(0)), DimensionMismatchError),
+    "int-table-empty": (lambda: IntTransformMatrix(np.zeros((0, 0), dtype=int)), DimensionMismatchError),
 }
 
 

@@ -9,7 +9,8 @@ empty working directory of its own.  The matrix covers every command,
 N in {2, 3, 8, 26, 64}, both families, v = 0, v/w = 1e-17 and 1e300,
 generated GBSR files (small ones and ones that span several moment chunks,
 the last one partial), ``sweep --data`` with a matching and a mismatched
-``--n``, and usage and data errors.
+``--n``, large samples whose values lie inside, below and above the window
+1e-4 <= |x| < 1e16 of fixed-notation text, and usage and data errors.
 
 A call differs when its exit code, stdout, stderr or any file it wrote
 differs; the tree's own path is masked in stdout and stderr first.  Each
@@ -92,8 +93,12 @@ def call_matrix(data: list[str]) -> list[list[str]]:
                 calls.append(["sweep", "--n", str(n), "--family", fam, "--alphas", "0:0.25:2",
                               "--model-v", v, "--out", "sweep.csv"])
         calls += [["gen-matrix", "--kind", k, "--n", str(n)] for k in KINDS]
-    calls.append(["sample", "--w", "1", "--v", "1", "--n", "8", "--count", "100000", "--seed", "9",
-                  "--out", "big.txt"])
+    # text output across 2^15-value blocks on both sides of the window where %.17g
+    # prints fixed notation: values near 1, all below 1e-4, mostly above 1e16, N = 64
+    for w, n, count in (("1", "8", "100000"), ("1e12", "8", "100000"), ("1e-34", "8", "100000"),
+                        ("1", "64", "5000")):
+        calls.append(["sample", "--w", w, "--v", w, "--n", n, "--count", count, "--seed", "9",
+                      "--out", "big.txt"])
     for path in data:
         for fam in FAMILIES:
             for direction in ("row", "col"):
