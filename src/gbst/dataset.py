@@ -11,15 +11,24 @@ File layout, little-endian throughout:
 ``read_gbsr`` checks the header against the file length and then maps the
 samples read-only instead of reading them: a file-backed dataset holds i16
 blocks, and no float copy of the file is ever made.
+
+Every pass over the blocks (the moment pass, ``write_gbsr``) takes the one
+chunk walk ``block_chunks``, which releases the pages of a read-only file
+mapping as it passes them, so the resident part of a file stays a few MiB
+whatever its length.  Only a ``mode="r"`` mapping is released: on a
+copy-on-write (``mode="c"``) one, releasing would discard the caller's edits.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.array_utils import byte_bounds
 
 from .errors import DatasetFormatError, EmptyDatasetError, InconsistentBlockSizeError
 from .graph import frozen_view
@@ -27,6 +36,12 @@ from .graph import frozen_view
 MAGIC = b"GBSR"
 VERSION = 1
 _HEADER = struct.Struct("<4sBHI")
+# A chunk walk yields blocks of about CHUNK_VALUES values: 2^17 float64
+# values fill 1 MiB, inside one core's L2 cache.
+CHUNK_VALUES = 1 << 17
+# Pages of a read-only mapping are released in spans of at least this many
+# bytes, so that the walk makes one madvise call per few chunks.
+_RELEASE_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -56,17 +71,56 @@ def make_dataset(blocks: np.ndarray) -> ResidualDataset:
     return ResidualDataset(np.asarray(blocks, dtype=float))
 
 
+def block_chunks(dataset: ResidualDataset, k: int) -> Iterator[np.ndarray]:
+    """``dataset.blocks[start : start + k]`` for start = 0, k, 2k, ... in order.
+
+    When the blocks are a read-only (``mode="r"``) file mapping, asking for
+    the next chunk first releases, with ``madvise(MADV_DONTNEED)``, the whole
+    pages that lie below it, once they span at least _RELEASE_BYTES.  The
+    kernel reads a released page back from the file if it is touched again,
+    so the values never change, and the walk keeps O(_RELEASE_BYTES + chunk)
+    of the file resident.  A copy-on-write mapping, an in-memory array and a
+    platform without MADV_DONTNEED release nothing.
+    """
+    blocks = dataset.blocks
+    mapping = getattr(blocks, "_mmap", None)
+    # pages below the next chunk are behind the walk only when it moves up in memory
+    if blocks.strides[0] <= 0 or getattr(blocks, "mode", None) != "r" or not hasattr(mmap, "MADV_DONTNEED"):
+        mapping = None
+    if mapping is not None:
+        base = np.frombuffer(mapping, np.uint8).ctypes.data  # the mapping's first, page-aligned byte
+        released = (byte_bounds(blocks)[0] - base) // mmap.PAGESIZE * mmap.PAGESIZE
+    for start in range(0, len(blocks), k):
+        chunk = blocks[start : start + k]
+        if mapping is not None:
+            passed = (byte_bounds(chunk)[0] - base) // mmap.PAGESIZE * mmap.PAGESIZE
+            if passed - released >= _RELEASE_BYTES:
+                mapping.madvise(mmap.MADV_DONTNEED, released, passed - released)
+                released = passed
+        yield chunk
+
+
 def write_gbsr(path, dataset: ResidualDataset) -> None:
-    samples = dataset.blocks
-    if not np.issubdtype(samples.dtype, np.integer):
-        if not np.isfinite(samples).all():
+    """Write ``dataset`` as GBSR, float samples rounded half to even.
+
+    One chunk walk checks that the samples are finite and fit in i16 before
+    the file is opened, so bad input leaves no file; a second one writes
+    the samples chunk by chunk.
+    """
+    k = max(1, CHUNK_VALUES // dataset.block_size**2)
+    integer = np.issubdtype(dataset.blocks.dtype, np.integer)
+    lo = hi = 0
+    for chunk in block_chunks(dataset, k):
+        if not integer and not np.isfinite(chunk).all():
             raise DatasetFormatError("residual samples must be finite")
-        samples = np.rint(samples)
-    if samples.min() < -32768 or samples.max() > 32767:
+        lo, hi = min(lo, chunk.min()), max(hi, chunk.max())
+    # rint is monotone: the rounded extremes are the extremes of the rounded samples
+    if np.rint(lo) < -32768 or np.rint(hi) > 32767:
         raise DatasetFormatError("residual samples do not fit in i16")
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, dataset.block_size, dataset.block_count))
-        f.write(samples.astype("<i2").tobytes())
+        for chunk in block_chunks(dataset, k):
+            f.write((chunk if integer else np.rint(chunk)).astype("<i2", order="C"))
 
 
 def read_gbsr(path) -> ResidualDataset:

@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataset import ResidualDataset
+from .dataset import CHUNK_VALUES, ResidualDataset, block_chunks
 from .errors import (
     DatasetTooLargeError,
     DegenerateGraphError,
@@ -85,9 +85,7 @@ class RefinedParam:
 # max(CHUNK_VALUES, N) rows, so each entry of its product sums at most 2^23
 # terms of |i16|^2 <= 2^30 while CHUNK_VALUES <= 2^23 (N is a u16): the
 # float64 product stays below 2^53 and is exact; the int64 total has room for
-# fewer than INT64_ROWS rows (2^33 * 2^30 = 2^63).  2^17 float64 values fill
-# 1 MiB, inside one core's L2 cache.
-CHUNK_VALUES = 1 << 17
+# fewer than INT64_ROWS rows (2^33 * 2^30 = 2^63).
 INT64_ROWS = 1 << 33
 DIRECTIONS = ("row", "col")
 
@@ -101,14 +99,17 @@ def residual_covariances(
     a zero-mean process; the result is the average outer product over all
     M*N of them, one SampleCovariance per entry of ``directions``.
 
-    The blocks are walked in chunks of about CHUNK_VALUES values.  For each
-    direction a chunk is copied into one reused float64 (k, N, N) buffer,
-    rows as they sit in the file and columns through a transpose of every
-    block (the column moment of X is the row moment of X^T); viewed as a
-    (k*N, N) matrix a, the buffer adds a^T a to the direction's total.  For
-    i16 (or narrower) integer blocks every chunk product is exact and is
-    folded into an int64 total, so the moments are bit-identical for any
-    chunk size, any block order and any set of directions.
+    The blocks are walked in file order, in chunks of about CHUNK_VALUES
+    values, by ``block_chunks``, which releases the pages of a read-only
+    file mapping behind the walk, so the pass keeps a few MiB of the file
+    resident whatever M is.  For each direction a chunk is copied into one
+    reused float64 (k, N, N) buffer, rows as they sit in the file and
+    columns through a transpose of every block (the column moment of X is
+    the row moment of X^T); viewed as a (k*N, N) matrix a, the buffer adds
+    a^T a to the direction's total.  For i16 (or narrower) integer blocks
+    every chunk product is exact and is folded into an int64 total, so the
+    moments are bit-identical for any chunk size, any block order and any
+    set of directions.
     """
     blocks = dataset.blocks
     for d in directions:
@@ -121,8 +122,7 @@ def residual_covariances(
     k = max(1, CHUNK_VALUES // (n * n))
     flat = np.empty(min(k, m) * n * n)
     totals = {d: np.zeros((n, n), dtype=np.int64 if exact else float) for d in directions}
-    for start in range(0, m, k):
-        chunk = blocks[start : start + k]
+    for chunk in block_chunks(dataset, k):
         buf = flat[: chunk.size].reshape(chunk.shape)
         a = buf.reshape(-1, n)
         for d, total in totals.items():

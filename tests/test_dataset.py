@@ -1,5 +1,7 @@
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import gbst
 from gbst.dataset import MAGIC, make_dataset, read_gbsr, write_gbsr
 from gbst.errors import DatasetFormatError, EmptyDatasetError, InconsistentBlockSizeError
 
@@ -52,12 +55,20 @@ def test_bad_magic(tmp_path):
 def test_samples_out_of_i16_range(tmp_path):
     with pytest.raises(DatasetFormatError):
         write_gbsr(tmp_path / "x.gbsr", make_dataset(np.full((1, 2, 2), 40000.0)))
+    # rounded out of range in the last chunk of several
+    blocks = np.zeros((5000, 8, 8))
+    blocks[-1, 7, 7] = 32767.5
+    path = tmp_path / "y.gbsr"
+    with pytest.raises(DatasetFormatError, match="i16"):
+        write_gbsr(path, make_dataset(blocks))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_samples_rejected(tmp_path, bad):
-    blocks = np.zeros((2, 2, 2))
-    blocks[1, 0, 1] = bad
+    # in the last chunk of several: the whole stack is checked before the file is opened
+    blocks = np.zeros((5000, 8, 8))
+    blocks[-1, 7, 7] = bad
     path = tmp_path / "x.gbsr"
     with pytest.raises(DatasetFormatError, match="finite"):
         write_gbsr(path, make_dataset(blocks))
@@ -90,6 +101,48 @@ def test_read_gbsr_maps_i16_read_only(tmp_path):
     # a file-backed dataset writes back byte for byte
     write_gbsr(tmp_path / "copy.gbsr", ds)
     assert (tmp_path / "copy.gbsr").read_bytes() == path.read_bytes()
+
+
+# VmHWM is the child's own peak; ru_maxrss would carry the spawning process's
+# high-water mark across exec and hide any growth below it.
+_RSS_CHILD = """
+import os, sys
+from gbst.dataset import read_gbsr, write_gbsr
+from gbst.estimation import residual_covariances
+
+def peak_mib():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
+
+dataset = read_gbsr(sys.argv[1])
+peaks = [peak_mib()]
+residual_covariances(dataset)
+peaks.append(peak_mib())
+write_gbsr(os.devnull, dataset)
+peaks.append(peak_mib())
+print(*peaks)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak from /proc/self/status")
+def test_file_passes_keep_memory_bounded(tmp_path):
+    # a 64 MiB file: the moment pass and a write-back each add less than a
+    # quarter of it to the process's peak
+    m, n = 1 << 19, 8
+    path = tmp_path / "big.gbsr"
+    rng = np.random.default_rng(7)
+    with open(path, "wb") as f:
+        f.write(struct.pack("<4sBHI", MAGIC, 1, n, m))
+        for _ in range(8):
+            f.write(rng.integers(-300, 300, (m // 8, n, n), dtype=np.int16).astype("<i2"))
+    size_mib = path.stat().st_size / (1 << 20)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(gbst.__file__))),
+               OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _RSS_CHILD, str(path)], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    read, moments, write = map(float, out.split())
+    assert moments - read < size_mib / 4
+    assert write - moments < size_mib / 4
 
 
 def _write_and_read(raw: bytes):

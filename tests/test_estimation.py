@@ -127,6 +127,38 @@ def test_gbsr_moments_exact_across_chunks(tmp_path, n, count):
             assert np.array_equal(cov.matrix, w)
 
 
+def _window_spanning_file(path) -> np.ndarray:
+    """A GBSR file of 80 000 8x8 blocks (10 MB), a few of the walk's 4 MiB release windows."""
+    blocks = np.random.default_rng(5).integers(-32768, 32768, (80_000, 8, 8), dtype=np.int16)
+    write_gbsr(path, ResidualDataset(blocks))
+    return blocks
+
+
+def test_released_file_moments_exact(tmp_path):
+    # a read-only mapping releases its pages behind the walk; a sliced view of it
+    # starts mid-file and off a page boundary
+    blocks = _window_spanning_file(tmp_path / "x.gbsr")
+    dataset = read_gbsr(tmp_path / "x.gbsr")
+    start = 12_345
+    for ds, want in [(dataset, blocks), (ResidualDataset(dataset.blocks[start:]), blocks[start:])]:
+        for _ in range(2):
+            for cov, w in zip(residual_covariances(ds), _exact_moments(want), strict=True):
+                assert np.array_equal(cov.matrix, w)
+
+
+def test_copy_on_write_mapping_keeps_caller_edits(tmp_path):
+    # releasing the pages of a private mapping would throw the caller's edits away
+    # and hand the walk the file's values again
+    shape = _window_spanning_file(tmp_path / "x.gbsr").shape
+    edited = np.memmap(tmp_path / "x.gbsr", dtype="<i2", mode="c", offset=11, shape=shape)
+    edited[:] = 1
+    dataset = ResidualDataset(edited)
+    for _ in range(2):
+        for cov in residual_covariances(dataset):
+            assert np.array_equal(cov.matrix, np.ones((8, 8)))
+    assert (edited == 1).all()
+
+
 def test_residual_covariances_single_direction():
     blocks = np.random.default_rng(1).standard_normal((6, 4, 4))
     row, col = residual_covariances(make_dataset(blocks))

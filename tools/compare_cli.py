@@ -7,8 +7,9 @@ checkout's ``src``.  Every call of a fixed matrix runs once per tree as a
 fresh ``python -m gbst.cli`` process with OPENBLAS_NUM_THREADS=1, in an
 empty working directory of its own.  The matrix covers every command,
 N in {2, 3, 8, 26, 64}, both families, v = 0, v/w = 1e-17 and 1e300,
-generated GBSR files (small ones and ones that span several moment chunks,
-the last one partial), ``sweep --data`` with a matching and a mismatched
+generated GBSR files (small ones, ones that span several moment chunks,
+the last one partial, and one longer than the 4 MiB span in which a pass
+releases a file's pages), ``sweep --data`` with a matching and a mismatched
 ``--n``, large samples whose values lie inside, below and above the window
 1e-4 <= |x| < 1e16 of fixed-notation text, and usage and data errors.
 
@@ -69,6 +70,8 @@ def make_data(directory: str) -> list[str]:
     # 5000 and 100 blocks span several chunks of the moment pass, the last one partial
     add("chunks8.gbsr", np.rint(rng.standard_normal((5000, 8, 8)) * 30))
     add("chunks64.gbsr", np.rint(rng.standard_normal((100, 64, 64)) * 30))
+    # 6.4 MB: the moment pass releases the pages of its first 4 MiB windows
+    add("windows8.gbsr", np.rint(rng.standard_normal((50_000, 8, 8)) * 30))
     add("constant_rows.gbsr", np.full((5, 8, 8), 7.0))
     add("zeros.gbsr", np.zeros((5, 8, 8)))
     add("block100.gbsr", np.ones((1, 100, 100)))
