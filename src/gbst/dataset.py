@@ -28,7 +28,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.array_utils import byte_bounds
 
 from .errors import DatasetFormatError, EmptyDatasetError, InconsistentBlockSizeError
 from .graph import frozen_view
@@ -84,16 +83,17 @@ def block_chunks(dataset: ResidualDataset, k: int) -> Iterator[np.ndarray]:
     """
     blocks = dataset.blocks
     mapping = getattr(blocks, "_mmap", None)
-    # pages below the next chunk are behind the walk only when it moves up in memory
-    if blocks.strides[0] <= 0 or getattr(blocks, "mode", None) != "r" or not hasattr(mmap, "MADV_DONTNEED"):
+    if getattr(blocks, "mode", None) != "r" or not hasattr(mmap, "MADV_DONTNEED"):
         mapping = None
     if mapping is not None:
-        base = np.frombuffer(mapping, np.uint8).ctypes.data  # the mapping's first, page-aligned byte
-        released = (byte_bounds(blocks)[0] - base) // mmap.PAGESIZE * mmap.PAGESIZE
+        # the view's offset within the mapping, whose first byte is page-aligned
+        offset = blocks.ctypes.data - np.frombuffer(mapping, np.uint8).ctypes.data
+        released = offset // mmap.PAGESIZE * mmap.PAGESIZE
     for start in range(0, len(blocks), k):
         chunk = blocks[start : start + k]
         if mapping is not None:
-            passed = (byte_bounds(chunk)[0] - base) // mmap.PAGESIZE * mmap.PAGESIZE
+            # a walk that moves down in memory never passes a span, so releases nothing
+            passed = (offset + start * blocks.strides[0]) // mmap.PAGESIZE * mmap.PAGESIZE
             if passed - released >= _RELEASE_BYTES:
                 mapping.madvise(mmap.MADV_DONTNEED, released, passed - released)
                 released = passed

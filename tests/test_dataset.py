@@ -66,13 +66,15 @@ def test_samples_out_of_i16_range(tmp_path):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_samples_rejected(tmp_path, bad):
-    # in the last chunk of several: the whole stack is checked before the file is opened
-    blocks = np.zeros((5000, 8, 8))
-    blocks[-1, 7, 7] = bad
-    path = tmp_path / "x.gbsr"
-    with pytest.raises(DatasetFormatError, match="finite"):
-        write_gbsr(path, make_dataset(blocks))
-    assert not path.exists()
+    # one chunk, and the last chunk of several: the whole stack is checked
+    # before the file is opened
+    for i, shape in enumerate([(2, 2, 2), (5000, 8, 8)]):
+        blocks = np.zeros(shape)
+        blocks[-1, -1, -1] = bad
+        path = tmp_path / f"{i}.gbsr"
+        with pytest.raises(DatasetFormatError, match="finite"):
+            write_gbsr(path, make_dataset(blocks))
+        assert not path.exists()
 
 
 def test_make_dataset_validation():
