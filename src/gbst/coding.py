@@ -19,12 +19,13 @@ from .errors import (
     InvalidParameterError,
     NonPositiveDefiniteError,
 )
+from .dataset import CHUNK_VALUES, ResidualDataset, block_chunks
 from .estimation import SampleCovariance
 from .graph import (
     GraphFamily, GraphParams, LineGraphLaplacian, build_ggl, check_positive_definite, dense_form,
     frozen_view, matrix_text,
 )
-from .spectral import TransformMatrix, apply_separable, derive_gbt
+from .spectral import TransformMatrix, apply_separable, check_block_shape, derive_gbt
 
 # rows per GMRF draw; it fixes the Philox split into Box-Muller u1/u2, so the sample bits
 SAMPLE_CHUNK_ROWS = 1 << 15
@@ -63,15 +64,14 @@ class CodingMetrics:
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, ties away from zero (not banker's)."""
-    # |x| - floor(|x|) is exact, where floor(|x| + 0.5) rounds 0.49999999999999994
-    # to 1 and 2^52 + 1 to 2^52 + 2
-    a = np.abs(x)
-    r = np.floor(a)
-    with np.errstate(invalid="ignore"):  # inf - inf; r stays inf
-        a -= r
-    r += a >= 0.5
-    del a  # at most two full-size temporaries on a block stack
-    return np.copysign(r, x)
+    q = np.rint(x)
+    # x - rint(x) is exact, and is +-1/2 only at a tie k + 1/2, which rint sends to
+    # the even neighbour; there x + copysign(1/2, x) is exact and the neighbour away from 0
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, no tie; q stays inf
+        tie = np.abs(x - q) == 0.5
+    if tie.any():
+        q = np.where(tie, x + np.copysign(0.5, x), q)
+    return q
 
 
 def _box_muller(gen: np.random.Generator, count: int) -> np.ndarray:
@@ -253,23 +253,47 @@ def quantize_roundtrip_distortion(
     is too, and by Parseval the error of the reconstruction
     U_col (step q) U_row^T equals the error of the coefficients: the MSE is
     measured there, with no inverse transform.
+
+    The stack is walked by ``block_chunks`` in chunks of about CHUNK_VALUES
+    values, each converted to float64 and transformed on its own, so no
+    temporary outgrows a chunk and the pages of a read-only file mapping are
+    released behind the walk.  The stacked product gives every chunk's
+    coefficients bit for bit as the whole stack would.  Each chunk adds its
+    squared residuals c/step - q to a running sum and its index counts to
+    one sorted table: the counts, and so the entropy, are those of the whole
+    stack, and only the order in which the MSE is summed depends on the
+    chunking.  A tie leaves |c/step - q| = 1/2 whichever way it rounds, so
+    the tie rule moves only the indices.
     """
     if not 0 < step < math.inf:
         raise InvalidParameterError(f"step must be positive and finite, got {step}")
+    blocks = np.asanyarray(blocks)  # a memmap stays one, so the walk can release its pages
+    check_block_shape(blocks, row_t, col_t)
+    if blocks.size == 0:
+        raise InvalidParameterError("no blocks to quantize")
+    n = col_t.size
+    stack = ResidualDataset(blocks.reshape(-1, n, n))
+    sq_err, values, counts = 0.0, np.empty(0), np.empty(0, dtype=np.int64)
     # the warnings of an overflowing product end in the typed error below
     with np.errstate(over="ignore", invalid="ignore"):
-        # one product over the whole stack, then in place where possible,
-        # so the stack has few full-size temporaries
-        coeffs = apply_separable(blocks, row_t, col_t)
-        if coeffs.size == 0:
-            raise InvalidParameterError("no blocks to quantize")
-        if not np.isfinite(blocks).all():
-            raise InvalidParameterError("blocks must be finite")
-        coeffs /= step
-        q = round_half_away(coeffs)
-        _, counts = np.unique(q, return_counts=True)  # q holds integers; -0.0 counts as 0
-        coeffs -= q
-        mse = step**2 * float(np.square(coeffs, out=coeffs).sum()) / coeffs.size
+        for chunk in block_chunks(stack, max(1, CHUNK_VALUES // (n * n))):
+            x = np.asarray(chunk, dtype=float)
+            if not np.isfinite(x).all():
+                raise InvalidParameterError("blocks must be finite")
+            c = apply_separable(x, row_t, col_t)
+            c /= step
+            q = round_half_away(c)
+            v, cnt = np.unique(q, return_counts=True)  # q holds integers; -0.0 counts as 0
+            # both tables are sorted and unique, so each count lands on one slot
+            merged = np.union1d(values, v)
+            total = np.zeros(merged.shape, dtype=np.int64)
+            total[np.searchsorted(merged, values)] += counts
+            total[np.searchsorted(merged, v)] += cnt
+            values, counts = merged, total
+            c -= q
+            # einsum sums in its own loop: a BLAS dot would wake the BLAS thread pool
+            sq_err += float(np.einsum("ijk,ijk->", c, c))
+        mse = step**2 * sq_err / blocks.size
     if not math.isfinite(mse):  # coefficients overflowed float64 at this step
         raise InvalidParameterError(f"quantization error is not finite at step {step}")
     p = counts / counts.sum()

@@ -88,12 +88,21 @@ def derive_gbt(lap: LineGraphLaplacian) -> TransformMatrix:
     return TransformMatrix(canonical_signs(vecs), vals)
 
 
-def _check_blocks(blocks: np.ndarray, row_t: TransformMatrix, col_t: TransformMatrix) -> np.ndarray:
-    """``blocks`` as float64: one (N, N) block or an (M, N, N) stack, N the size of both transforms."""
-    blocks = np.asarray(blocks, dtype=float)
+def check_block_shape(blocks: np.ndarray, row_t: TransformMatrix, col_t: TransformMatrix) -> None:
+    """Raise DimensionMismatchError unless ``blocks`` is one (N, N) block or an (M, N, N) stack.
+
+    N is the size of both transforms.  Only the shape is read, so an array is
+    checked before any of it is converted.
+    """
     n = col_t.size
     if row_t.size != n or blocks.ndim not in (2, 3) or blocks.shape[-2:] != (n, n):
         raise DimensionMismatchError(f"block {blocks.shape} vs transforms ({n}, {row_t.size})")
+
+
+def _check_blocks(blocks: np.ndarray, row_t: TransformMatrix, col_t: TransformMatrix) -> np.ndarray:
+    """``blocks`` as float64, checked by ``check_block_shape``."""
+    blocks = np.asarray(blocks, dtype=float)
+    check_block_shape(blocks, row_t, col_t)
     return blocks
 
 

@@ -1,8 +1,16 @@
+import math
+import os
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gbst
 from gbst import coding
 from gbst.coding import (
     _box_muller,
@@ -19,6 +27,7 @@ from gbst.coding import (
     sample_gmrf_blocks,
     sweep_csv,
 )
+from gbst.dataset import CHUNK_VALUES, make_dataset, read_gbsr, write_gbsr
 from gbst.errors import (
     DimensionMismatchError,
     IntegerOverflowError,
@@ -44,6 +53,42 @@ def test_round_half_away():
     x = np.array([0.49999999999999994, 2.0**52 + 1])
     assert round_half_away(x).tolist() == [0, 2**52 + 1]
     assert round_half_away(-x).tolist() == [0, -(2**52 + 1)]
+    # the sign of zero survives, and infinities and nan pass through without a warning
+    assert np.signbit(round_half_away(np.array([-0.3, -0.0, -0.5]))).tolist() == [True, True, True]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = round_half_away(np.array([np.inf, -np.inf, np.nan, 2.5]))
+    assert np.array_equal(got, [np.inf, -np.inf, np.nan, 3.0], equal_nan=True)
+
+
+def exact_half_away(v: float) -> float:
+    """floor(|v| + 1/2) in rational arithmetic, with the sign of v; inf and nan pass through."""
+    if not math.isfinite(v):
+        return v
+    return math.copysign(float(math.floor(abs(Fraction(v)) + Fraction(1, 2))), v)
+
+
+_EDGES = [0.0, 0.3, 0.5, 1.5, 0.49999999999999994, 2.0**52 - 1, 2.0**52, 2.0**52 + 1, 2.0**53, math.inf]
+rounding_inputs = st.lists(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-(2**52) + 1, 2**52 - 2).map(lambda k: k + 0.5),  # every k + 1/2 is a tie
+        st.sampled_from(_EDGES + [-v for v in _EDGES] + [math.nan]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rounding_inputs)
+def test_round_half_away_matches_exact_rounding(values):
+    got = round_half_away(np.array(values))
+    want = np.array([exact_half_away(v) for v in values])
+    assert np.array_equal(got, want, equal_nan=True)
+    # -0.3 rounds to -0.0, not 0.0
+    finite = np.isfinite(want)
+    assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
 
 
 def test_sample_gmrf_deterministic():
@@ -286,19 +331,33 @@ def test_quantize_small_step_noise_bound():
     assert mse <= eff_step**2 / 12 * (1 + 1e-3)
 
 
-def per_block_quantize(blocks, row_t, col_t, step):
-    """The per-block reference loop the batched quantizer must match."""
+def per_block_results(blocks, row_t, col_t, step):
+    """(squared reconstruction error, indices) of each block, one block at a time."""
     blocks = np.asarray(blocks, dtype=float)
     if blocks.ndim == 2:
         blocks = blocks[None]
-    sq_err, indices = 0.0, []
+    results = []
     for x in blocks:
         q = round_half_away(apply_separable(x, row_t, col_t) / step)
-        sq_err += float(((x - inverse_separable(q * step, row_t, col_t)) ** 2).sum())
-        indices.append(q.astype(np.int64).ravel())
+        sq_err = float(((x - inverse_separable(q * step, row_t, col_t)) ** 2).sum())
+        results.append((sq_err, q.astype(np.int64).ravel()))
+    return results
+
+
+def mse_and_entropy(results):
+    """The MSE and index entropy of the blocks behind ``results``, errors summed in block order."""
+    sq_err, indices = 0.0, []
+    for e, q in results:
+        sq_err += e
+        indices.append(q)
     _, counts = np.unique(np.concatenate(indices), return_counts=True)
     p = counts / counts.sum()
-    return sq_err / blocks.size, float(-(p * np.log2(p)).sum())
+    return sq_err / sum(len(q) for q in indices), float(-(p * np.log2(p)).sum())
+
+
+def per_block_quantize(blocks, row_t, col_t, step):
+    """The per-block reference loop the batched quantizer must match."""
+    return mse_and_entropy(per_block_results(blocks, row_t, col_t, step))
 
 
 @pytest.mark.parametrize("n", [2, 8, 64])
@@ -313,6 +372,81 @@ def test_quantize_matches_per_block_loop(n, step, stack):
     want_mse, want_entropy = per_block_quantize(blocks, row_t, col_t, step)
     assert abs(mse - want_mse) <= 1e-12 * want_mse
     assert entropy == want_entropy
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_quantize_matches_per_block_loop_across_chunks(n):
+    # the quantizer walks chunks of k blocks: stacks just inside, at and past one
+    # chunk, and past two, against the loop over the same blocks
+    k = CHUNK_VALUES // n**2
+    row_t = derive_gbt(build_ggl(GraphParams(1, 0.6, L2), n))
+    col_t = derive_gbt(build_ggl(GraphParams(1, 1.1, L1), n))
+    blocks = 30 * np.random.default_rng(n).standard_normal((2 * k + 1, n, n))
+    results = per_block_results(blocks, row_t, col_t, np.pi)
+    for m in (k - 1, k, k + 1, 2 * k + 1):
+        mse, entropy = quantize_roundtrip_distortion(blocks[:m], row_t, col_t, np.pi)
+        want_mse, want_entropy = mse_and_entropy(results[:m])
+        assert abs(mse - want_mse) <= 1e-12 * want_mse
+        assert entropy == want_entropy
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([2, 8, 64]), extra=st.sampled_from([-1, 0, 1, "k + 1"]), seed=st.integers(0, 2**32 - 1))
+def test_quantize_ties_round_away_across_chunks(n, extra, seed):
+    # identity transform, integer samples and step 2: every odd sample is a tie
+    k = CHUNK_VALUES // n**2
+    count = 2 * k + 1 if extra == "k + 1" else k + extra
+    blocks = np.random.default_rng(seed).integers(-9, 10, (count, n, n))
+    t = TransformMatrix(np.eye(n), np.arange(n, dtype=float))
+    mse, entropy = quantize_roundtrip_distortion(blocks, t, t, 2.0)
+    x = blocks.ravel()
+    odd = x % 2 == 1
+    # an odd sample x rounds away from zero to (x + sign x) / 2, an error of one sample unit
+    _, counts = np.unique(np.where(odd, (x + np.sign(x)) // 2, x // 2), return_counts=True)
+    p = counts / counts.sum()
+    assert entropy == float(-(p * np.log2(p)).sum())
+    assert mse == np.count_nonzero(odd) / x.size
+
+
+def test_quantize_gbsr_memmap_matches_float_copy(tmp_path):
+    n = 8
+    blocks = np.rint(30 * np.random.default_rng(3).standard_normal((2 * CHUNK_VALUES // n**2 + 5, n, n)))
+    write_gbsr(tmp_path / "data.gbsr", make_dataset(blocks))
+    mapped = read_gbsr(tmp_path / "data.gbsr").blocks
+    t = derive_gbt(build_ggl(GraphParams(1, 0.8, L1), n))
+    assert isinstance(mapped, np.memmap) and mapped.dtype == np.int16
+    assert quantize_roundtrip_distortion(mapped, t, t, 3.0) == quantize_roundtrip_distortion(blocks, t, t, 3.0)
+
+
+# VmHWM is the child's own peak; ru_maxrss would carry the spawning process's
+# high-water mark across exec and hide any growth below it.
+_QUANTIZE_RSS_CHILD = """
+import numpy as np
+from gbst import GraphParams, build_ggl, derive_gbt, quantize_roundtrip_distortion
+
+def peak_mib():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
+
+n = 64
+t = derive_gbt(build_ggl(GraphParams(1.0, 1.0, "L1"), n))
+blocks = 30 * np.random.default_rng(5).standard_normal((2048, n, n))
+before = peak_mib()
+quantize_roundtrip_distortion(blocks, t, t, 4.0)
+print(blocks.nbytes / (1 << 20), peak_mib() - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak from /proc/self/status")
+def test_quantize_keeps_memory_bounded():
+    # a 64 MiB stack at N = 64 adds less than a quarter of itself to the peak
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(gbst.__file__))),
+               OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _QUANTIZE_RSS_CHILD], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    stack_mib, rise_mib = map(float, out.split())
+    assert stack_mib >= 64
+    assert rise_mib < stack_mib / 4
 
 
 @pytest.mark.parametrize("shape", [(4,), (2, 4, 8), (3, 8, 8), (1, 2, 4, 4)])
@@ -356,6 +490,19 @@ def test_quantize_non_finite_blocks_rejected(shape, bad):
     blocks[..., 1, 2] = bad
     with pytest.raises(InvalidParameterError, match="blocks must be finite"):
         quantize_roundtrip_distortion(blocks, t, t, 1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_quantize_non_finite_in_last_chunk_rejected(bad):
+    # the first chunk's coefficients overflow, but a non-finite sample anywhere is the error
+    t = trig_matrix(K.DCT2, 4)
+    blocks = np.zeros((2 * CHUNK_VALUES // 16 + 1, 4, 4))
+    blocks[0] = 1e308
+    blocks[-1, 1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="blocks must be finite"):
+            quantize_roundtrip_distortion(blocks, t, t, 1.0)
 
 
 @pytest.mark.parametrize("value, step", [(1e308, 1.0), (1.0, 1e-320)])
