@@ -391,11 +391,15 @@ def test_quantize_matches_per_block_loop_across_chunks(n):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.sampled_from([2, 8, 64]), extra=st.sampled_from([-1, 0, 1, "k + 1"]), seed=st.integers(0, 2**32 - 1))
-def test_quantize_ties_round_away_across_chunks(n, extra, seed):
+@given(
+    n=st.sampled_from([2, 8, 64]),
+    chunks_extra=st.sampled_from([(1, -1), (1, 0), (1, 1), (2, 1)]),  # k - 1, k, k + 1, 2k + 1 blocks
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quantize_ties_round_away_across_chunks(n, chunks_extra, seed):
     # identity transform, integer samples and step 2: every odd sample is a tie
-    k = CHUNK_VALUES // n**2
-    count = 2 * k + 1 if extra == "k + 1" else k + extra
+    chunks, extra = chunks_extra
+    count = chunks * (CHUNK_VALUES // n**2) + extra
     blocks = np.random.default_rng(seed).integers(-9, 10, (count, n, n))
     t = TransformMatrix(np.eye(n), np.arange(n, dtype=float))
     mse, entropy = quantize_roundtrip_distortion(blocks, t, t, 2.0)
