@@ -19,7 +19,7 @@ from .errors import (
     InvalidParameterError,
     NonPositiveDefiniteError,
 )
-from .dataset import CHUNK_VALUES, ResidualDataset, block_chunks
+from .dataset import block_chunks
 from .estimation import SampleCovariance
 from .graph import (
     GraphFamily, GraphParams, LineGraphLaplacian, build_ggl, check_positive_definite, dense_form,
@@ -102,8 +102,8 @@ def _inverse_cholesky(lap: LineGraphLaplacian) -> np.ndarray:
     return _factor_precision(lap, lambda m: np.linalg.inv(np.linalg.cholesky(m)))
 
 
-def _gmrf_chunks(precision: LineGraphLaplacian, count: int, seed: int, chunk: int):
-    """Draws x ~ N(0, L^{-1}) as (m, N) arrays of at most ``chunk`` rows, ``count`` rows in all.
+def _gmrf_chunks(precision: LineGraphLaplacian, count: int, seed: int):
+    """Draws x ~ N(0, L^{-1}) as (m, N) arrays of at most SAMPLE_CHUNK_ROWS rows, ``count`` rows in all.
 
     With the Cholesky factor L = C C^T, each standard normal row g maps to
     x = g C^{-1}, so cov(x) = C^{-T} C^{-1} = L^{-1}.  The checks run on the
@@ -116,14 +116,17 @@ def _gmrf_chunks(precision: LineGraphLaplacian, count: int, seed: int, chunk: in
     n = precision.size
     cinv = _inverse_cholesky(precision)
     gen = np.random.Generator(np.random.Philox(seed))
-    sizes = (min(chunk, count - start) for start in range(0, count, chunk))
+    sizes = (min(SAMPLE_CHUNK_ROWS, count - start) for start in range(0, count, SAMPLE_CHUNK_ROWS))
     return (_box_muller(gen, m * n).reshape(m, n) @ cinv for m in sizes)
 
 
 def sample_gmrf(precision: LineGraphLaplacian, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` vectors x ~ N(0, L^{-1}) as rows of a (count, N) array."""
-    chunks = _gmrf_chunks(precision, count, seed, SAMPLE_CHUNK_ROWS)
-    out = np.empty((count, precision.size))  # before the first draw, so a huge count fails at once
+    chunks = _gmrf_chunks(precision, count, seed)
+    try:  # before the first draw, so a huge count fails at once
+        out = np.empty((count, precision.size))
+    except ValueError as exc:  # a shape past numpy's limits; one too big for memory is a MemoryError
+        raise InvalidParameterError(f"count {count} at N={precision.size} exceeds one array") from exc
     for start, x in zip(range(0, count, SAMPLE_CHUNK_ROWS), chunks):
         out[start : start + len(x)] = x
     return out
@@ -132,7 +135,7 @@ def sample_gmrf(precision: LineGraphLaplacian, count: int, seed: int) -> np.ndar
 def sample_covariance(precision: LineGraphLaplacian, count: int, seed: int) -> SampleCovariance:
     """Second-moment matrix of ``count`` GMRF draws, summed chunk by chunk."""
     acc = np.zeros((precision.size, precision.size))
-    for x in _gmrf_chunks(precision, count, seed, SAMPLE_CHUNK_ROWS):
+    for x in _gmrf_chunks(precision, count, seed):
         acc += x.T @ x
     return SampleCovariance(acc / count)
 
@@ -148,14 +151,13 @@ def sample_gmrf_blocks(
     X = C_col^{-T} Z C_row^{-1} with the Cholesky factors of the two
     precisions; row and column second moments come out proportional to
     the respective inverse Laplacians, which is all the ratio-based
-    learning needs.
+    learning needs.  Z C_row^{-1} is count*N rows of ``sample_gmrf``.
     """
     if row_precision.size != col_precision.size:
         raise DimensionMismatchError("row and column graphs must share N")
     n = row_precision.size
     cinv_col = _inverse_cholesky(col_precision)
-    (zb,) = _gmrf_chunks(row_precision, count * n, seed, count * n)
-    return cinv_col.T @ zb.reshape(count, n, n)
+    return cinv_col.T @ sample_gmrf(row_precision, count * n, seed).reshape(count, n, n)
 
 
 def model_covariance(lap: LineGraphLaplacian) -> SampleCovariance:
@@ -249,21 +251,21 @@ def quantize_roundtrip_distortion(
 
     Quantization is plain rounding half away from zero (no dead zone);
     entropy is the empirical first-order entropy of the integer indices in
-    bits per sample.  Both bases are orthonormal, so the separable transform
-    is too, and by Parseval the error of the reconstruction
+    bits per sample.  Both bases must be orthonormal, so the separable
+    transform is too, and by Parseval the error of the reconstruction
     U_col (step q) U_row^T equals the error of the coefficients: the MSE is
     measured there, with no inverse transform.
 
-    The stack is walked by ``block_chunks`` in chunks of about CHUNK_VALUES
-    values, each converted to float64 and transformed on its own, so no
-    temporary outgrows a chunk and the pages of a read-only file mapping are
-    released behind the walk.  The stacked product gives every chunk's
-    coefficients bit for bit as the whole stack would.  Each chunk adds its
-    squared residuals c/step - q to a running sum and its index counts to
-    one sorted table: the counts, and so the entropy, are those of the whole
-    stack, and only the order in which the MSE is summed depends on the
-    chunking.  A tie leaves |c/step - q| = 1/2 whichever way it rounds, so
-    the tie rule moves only the indices.
+    The stack is walked by ``block_chunks``, each chunk converted to float64
+    and transformed on its own, so no temporary outgrows a chunk and the
+    pages of a read-only file mapping are released behind the walk.  The
+    stacked product gives every chunk's coefficients bit for bit as the
+    whole stack would.  Each chunk adds its squared residuals c/step - q to
+    a running sum and its index counts to one sorted table: the counts, and
+    so the entropy, are those of the whole stack, and only the order in
+    which the MSE is summed depends on the chunking.  A tie leaves
+    |c/step - q| = 1/2 whichever way it rounds, so the tie rule moves only
+    the indices.
     """
     if not 0 < step < math.inf:
         raise InvalidParameterError(f"step must be positive and finite, got {step}")
@@ -271,12 +273,13 @@ def quantize_roundtrip_distortion(
     check_block_shape(blocks, row_t, col_t)
     if blocks.size == 0:
         raise InvalidParameterError("no blocks to quantize")
-    n = col_t.size
-    stack = ResidualDataset(blocks.reshape(-1, n, n))
     sq_err, values, counts = 0.0, np.empty(0), np.empty(0, dtype=np.int64)
-    # the warnings of an overflowing product end in the typed error below
+    # the warnings of an overflowing product end in a typed error below
     with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in block_chunks(stack, max(1, CHUNK_VALUES // (n * n))):
+        for t in (row_t, col_t):  # Parseval needs an orthonormal basis; a NaN one fails too
+            if not np.abs(t.basis.T @ t.basis - np.eye(t.size)).max() <= 1e-10:
+                raise InvalidParameterError("quantizer needs orthonormal bases: max|U^T U - I| > 1e-10")
+        for chunk in block_chunks(blocks.reshape(-1, col_t.size, col_t.size)):
             x = np.asarray(chunk, dtype=float)
             if not np.isfinite(x).all():
                 raise InvalidParameterError("blocks must be finite")

@@ -12,15 +12,16 @@ File layout, little-endian throughout:
 samples read-only instead of reading them: a file-backed dataset holds i16
 blocks, and no float copy of the file is ever made.
 
-Every pass over the blocks (the moment pass, ``write_gbsr``) takes the one
-chunk walk ``block_chunks``, which releases the pages of a read-only file
-mapping as it passes them, so the resident part of a file stays a few MiB
-whatever its length.  Only a ``mode="r"`` mapping is released: on a
-copy-on-write (``mode="c"``) one, releasing would discard the caller's edits.
+Every pass over the blocks takes the one chunk walk ``block_chunks``, which
+releases the pages of a read-only file mapping as it passes them, so the
+resident part of a file stays a few MiB whatever its length.  Only a
+``mode="r"`` mapping is released: on a copy-on-write (``mode="c"``) one,
+releasing would discard the caller's edits.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import struct
@@ -70,18 +71,19 @@ def make_dataset(blocks: np.ndarray) -> ResidualDataset:
     return ResidualDataset(np.asarray(blocks, dtype=float))
 
 
-def block_chunks(dataset: ResidualDataset, k: int) -> Iterator[np.ndarray]:
-    """``dataset.blocks[start : start + k]`` for start = 0, k, 2k, ... in order.
+def block_chunks(blocks: np.ndarray) -> Iterator[np.ndarray]:
+    """``blocks[i : i + k]`` for i = 0, k, 2k, ..., k = max(1, CHUNK_VALUES // values per block).
 
-    When the blocks are a read-only (``mode="r"``) file mapping, asking for
-    the next chunk first releases, with ``madvise(MADV_DONTNEED)``, the whole
-    pages that lie below it, once they span at least _RELEASE_BYTES.  The
-    kernel reads a released page back from the file if it is touched again,
-    so the values never change, and the walk keeps O(_RELEASE_BYTES + chunk)
-    of the file resident.  A copy-on-write mapping, an in-memory array and a
-    platform without MADV_DONTNEED release nothing.
+    A chunk holds at most max(CHUNK_VALUES, one block) values, none more than
+    the first.  When the blocks are a read-only (``mode="r"``) file mapping,
+    asking for the next chunk first releases, with ``madvise(MADV_DONTNEED)``,
+    the whole pages that lie below it, once they span at least _RELEASE_BYTES.
+    The kernel reads a released page back from the file if it is touched
+    again, so the values never change, and the walk keeps
+    O(_RELEASE_BYTES + chunk) of the file resident.  A copy-on-write mapping,
+    an in-memory array and a platform without MADV_DONTNEED release nothing.
     """
-    blocks = dataset.blocks
+    k = max(1, CHUNK_VALUES // math.prod(blocks.shape[1:]))
     mapping = getattr(blocks, "_mmap", None)
     if getattr(blocks, "mode", None) != "r" or not hasattr(mmap, "MADV_DONTNEED"):
         mapping = None
@@ -107,10 +109,9 @@ def write_gbsr(path, dataset: ResidualDataset) -> None:
     the file is opened, so bad input leaves no file; a second one writes
     the samples chunk by chunk.
     """
-    k = max(1, CHUNK_VALUES // dataset.block_size**2)
     integer = np.issubdtype(dataset.blocks.dtype, np.integer)
     lo = hi = 0
-    for chunk in block_chunks(dataset, k):
+    for chunk in block_chunks(dataset.blocks):
         if not integer and not np.isfinite(chunk).all():
             raise DatasetFormatError("residual samples must be finite")
         lo, hi = min(lo, chunk.min()), max(hi, chunk.max())
@@ -119,7 +120,7 @@ def write_gbsr(path, dataset: ResidualDataset) -> None:
         raise DatasetFormatError("residual samples do not fit in i16")
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, dataset.block_size, dataset.block_count))
-        for chunk in block_chunks(dataset, k):
+        for chunk in block_chunks(dataset.blocks):
             f.write((chunk if integer else np.rint(chunk)).astype("<i2", order="C"))
 
 

@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataset import CHUNK_VALUES, ResidualDataset, block_chunks
+from .dataset import ResidualDataset, block_chunks
 from .errors import (
     DatasetTooLargeError,
     DegenerateGraphError,
@@ -81,11 +81,11 @@ class RefinedParam:
     size: int
 
 
-# Integer blocks: a chunk of max(1, CHUNK_VALUES // N^2) blocks stacks at most
-# max(CHUNK_VALUES, N) rows, so each entry of its product sums at most 2^23
-# terms of |i16|^2 <= 2^30 while CHUNK_VALUES <= 2^23 (N is a u16): the
-# float64 product stays below 2^53 and is exact; the int64 total has room for
-# fewer than INT64_ROWS rows (2^33 * 2^30 = 2^63).
+# Integer blocks: a chunk of block_chunks holds at most max(CHUNK_VALUES, N^2)
+# values, so stacks at most max(CHUNK_VALUES, N) rows; each entry of its product
+# sums at most 2^23 terms of |i16|^2 <= 2^30 while CHUNK_VALUES <= 2^23 (N is a
+# u16): the float64 product stays below 2^53 and is exact; the int64 total has
+# room for fewer than INT64_ROWS rows (2^33 * 2^30 = 2^63).
 INT64_ROWS = 1 << 33
 DIRECTIONS = ("row", "col")
 
@@ -99,17 +99,17 @@ def residual_covariances(
     a zero-mean process; the result is the average outer product over all
     M*N of them, one SampleCovariance per entry of ``directions``.
 
-    The blocks are walked in file order, in chunks of about CHUNK_VALUES
-    values, by ``block_chunks``, which releases the pages of a read-only
-    file mapping behind the walk, so the pass keeps a few MiB of the file
-    resident whatever M is.  For each direction a chunk is copied into one
-    reused float64 (k, N, N) buffer, rows as they sit in the file and
-    columns through a transpose of every block (the column moment of X is
-    the row moment of X^T); viewed as a (k*N, N) matrix a, the buffer adds
-    a^T a to the direction's total.  For i16 (or narrower) integer blocks
-    every chunk product is exact and is folded into an int64 total, so the
-    moments are bit-identical for any chunk size, any block order and any
-    set of directions.
+    The blocks are walked in file order by ``block_chunks``, which chooses
+    the chunk length and releases the pages of a read-only file mapping
+    behind the walk, so the pass keeps a few MiB of the file resident
+    whatever M is.  For each direction a chunk is copied into one reused
+    float64 (k, N, N) buffer, sized by the first chunk: rows as they sit in
+    the file and columns through a transpose of every block (the column
+    moment of X is the row moment of X^T); viewed as a (k*N, N) matrix a,
+    the buffer adds a^T a to the direction's total.  For i16 (or narrower)
+    integer blocks every chunk product is exact and is folded into an int64
+    total, so the moments are bit-identical for any chunk size, any block
+    order and any set of directions.
     """
     blocks = dataset.blocks
     for d in directions:
@@ -119,10 +119,11 @@ def residual_covariances(
     exact = np.issubdtype(blocks.dtype, np.integer) and blocks.dtype.itemsize <= 2
     if exact and m * n >= INT64_ROWS:
         raise DatasetTooLargeError(f"{m * n} rows overflow the exact int64 moment (limit {INT64_ROWS})")
-    k = max(1, CHUNK_VALUES // (n * n))
-    flat = np.empty(min(k, m) * n * n)
+    flat = np.empty(0)
     totals = {d: np.zeros((n, n), dtype=np.int64 if exact else float) for d in directions}
-    for chunk in block_chunks(dataset, k):
+    for chunk in block_chunks(blocks):
+        if flat.size < chunk.size:  # only the first chunk, the largest, sizes the buffer
+            flat = np.empty(chunk.size)
         buf = flat[: chunk.size].reshape(chunk.shape)
         a = buf.reshape(-1, n)
         for d, total in totals.items():

@@ -257,13 +257,15 @@ def test_sample_at_huge_weights_succeeds():
     assert np.isfinite(np.loadtxt(proc.stdout.splitlines())).all()
 
 
-def test_sample_huge_count_exits_3(capsys):
-    # the (count, N) output is allocated before the first draw, so this fails at once
-    code, out, err = run(capsys, "sample", "--w", "1", "--v", "1", "--n", "64",
-                         "--count", "1000000000000000")
+@pytest.mark.parametrize("n", [4, 64])
+@pytest.mark.parametrize("count", [10**15, 2**62, 10**20])
+def test_sample_huge_count_exits_3(capsys, n, count):
+    # the (count, N) output is allocated before the first draw, so these fail at once:
+    # too large for memory, past numpy's size limit, and past its dimension limit
+    code, out, err = run(capsys, "sample", "--w", "1", "--v", "1", "--n", str(n), "--count", str(count))
     assert code == 3
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.count("error:") == 1
 
 
 def test_sample_negative_seed_exits_3(capsys):

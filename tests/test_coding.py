@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 import warnings
 from fractions import Fraction
 
@@ -10,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gbst
 from gbst import coding
 from gbst.coding import (
     _box_muller,
@@ -179,14 +175,45 @@ def test_sample_gmrf_pins_philox_stream(monkeypatch, n, count, chunk):
     assert np.abs(x @ np.linalg.cholesky(dense_form(lap)) - g).max() <= 1e-12
 
 
-def test_sample_gmrf_blocks_pins_philox_stream():
+def test_sample_gmrf_blocks_pins_philox_stream(monkeypatch):
+    # the count * n rows are drawn as sample_gmrf draws them: in one chunk at the
+    # default chunk length, and in chunks of 7 rows, the last one partial
     n, count = 6, 500
     row = build_ggl(GraphParams(1.0, 0.4, L1), n)
     col = build_ggl(GraphParams(2.0, 3.0, L2), n)
-    x = sample_gmrf_blocks(row, col, count, seed=23)
-    (z,) = _philox_draws(23, [count * n * n])
     c_row, c_col = (np.linalg.cholesky(dense_form(lap)) for lap in (row, col))
-    assert np.abs(c_col.T @ x @ c_row - z.reshape(count, n, n)).max() <= 1e-12
+    rows = count * n
+    for chunk in (coding.SAMPLE_CHUNK_ROWS, 7):
+        monkeypatch.setattr(coding, "SAMPLE_CHUNK_ROWS", chunk)
+        x = sample_gmrf_blocks(row, col, count, seed=23)
+        sizes = [min(chunk, rows - start) * n for start in range(0, rows, chunk)]
+        z = np.concatenate(_philox_draws(23, sizes)).reshape(count, n, n)
+        assert np.abs(c_col.T @ x @ c_row - z).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_sample_gmrf_blocks_huge_count_is_typed(n):
+    # count * n rows past numpy's shape limits fail in sample_gmrf, before any draw
+    lap = build_ggl(GraphParams(1, 1, L1), n)
+    with pytest.raises(InvalidParameterError, match=f"^count {2**62 * n} at N={n} exceeds one array$"):
+        sample_gmrf_blocks(lap, lap, 2**62, seed=0)
+
+
+_BLOCKS_RSS_CHILD = """
+from gbst import GraphParams, build_ggl, sample_gmrf_blocks
+
+lap = build_ggl(GraphParams(1.0, 1.0, "L1"), 8)
+before = peak_mib()
+x = sample_gmrf_blocks(lap, lap, 50_000, seed=3)
+print(x.nbytes / (1 << 20), peak_mib() - before)
+"""
+
+
+def test_sample_gmrf_blocks_keeps_memory_bounded(child_peaks):
+    # the rows are drawn a chunk at a time, so the peak grows by the (count * N, N)
+    # draws and the blocks made from them, about twice the 24 MiB output
+    out_mib, rise_mib = child_peaks(_BLOCKS_RSS_CHILD)
+    assert rise_mib < 2.5 * out_mib
 
 
 def test_coding_gain_isotropic_is_zero():
@@ -422,15 +449,9 @@ def test_quantize_gbsr_memmap_matches_float_copy(tmp_path):
     assert quantize_roundtrip_distortion(mapped, t, t, 3.0) == quantize_roundtrip_distortion(blocks, t, t, 3.0)
 
 
-# VmHWM is the child's own peak; ru_maxrss would carry the spawning process's
-# high-water mark across exec and hide any growth below it.
 _QUANTIZE_RSS_CHILD = """
 import numpy as np
 from gbst import GraphParams, build_ggl, derive_gbt, quantize_roundtrip_distortion
-
-def peak_mib():
-    with open("/proc/self/status") as f:
-        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
 
 n = 64
 t = derive_gbt(build_ggl(GraphParams(1.0, 1.0, "L1"), n))
@@ -441,16 +462,25 @@ print(blocks.nbytes / (1 << 20), peak_mib() - before)
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak from /proc/self/status")
-def test_quantize_keeps_memory_bounded():
+def test_quantize_keeps_memory_bounded(child_peaks):
     # a 64 MiB stack at N = 64 adds less than a quarter of itself to the peak
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(gbst.__file__))),
-               OPENBLAS_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", _QUANTIZE_RSS_CHILD], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    stack_mib, rise_mib = map(float, out.split())
+    stack_mib, rise_mib = child_peaks(_QUANTIZE_RSS_CHILD)
     assert stack_mib >= 64
     assert rise_mib < stack_mib / 4
+
+
+@pytest.mark.parametrize("basis", [2 * np.eye(4), np.full((4, 4), np.nan), np.full((4, 4), 1e200)])
+def test_quantize_rejects_non_orthonormal_basis(basis):
+    # the MSE is measured on the coefficients, which equals the reconstruction error
+    # only for orthonormal bases: with one basis 2I it would read 0.73 here, where
+    # quantizing and inverting block by block gives 7.2e4
+    bad, good = TransformMatrix(basis, np.zeros(4)), trig_matrix(K.DCT2, 4)
+    blocks = 100 * np.random.default_rng(1).standard_normal((10, 4, 4))
+    for row_t, col_t in [(bad, good), (good, bad)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="orthonormal"):
+                quantize_roundtrip_distortion(blocks, row_t, col_t, 3.0)
 
 
 @pytest.mark.parametrize("shape", [(4,), (2, 4, 8), (3, 8, 8), (1, 2, 4, 4)])

@@ -1,7 +1,5 @@
 import os
 import struct
-import subprocess
-import sys
 import tempfile
 
 import numpy as np
@@ -10,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import gbst
 from gbst.dataset import MAGIC, make_dataset, read_gbsr, write_gbsr
 from gbst.errors import DatasetFormatError, EmptyDatasetError, InconsistentBlockSizeError
 
@@ -105,16 +102,10 @@ def test_read_gbsr_maps_i16_read_only(tmp_path):
     assert (tmp_path / "copy.gbsr").read_bytes() == path.read_bytes()
 
 
-# VmHWM is the child's own peak; ru_maxrss would carry the spawning process's
-# high-water mark across exec and hide any growth below it.
 _RSS_CHILD = """
 import os, sys
 from gbst.dataset import read_gbsr, write_gbsr
 from gbst.estimation import residual_covariances
-
-def peak_mib():
-    with open("/proc/self/status") as f:
-        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
 
 dataset = read_gbsr(sys.argv[1])
 peaks = [peak_mib()]
@@ -126,8 +117,7 @@ print(*peaks)
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak from /proc/self/status")
-def test_file_passes_keep_memory_bounded(tmp_path):
+def test_file_passes_keep_memory_bounded(tmp_path, child_peaks):
     # a 64 MiB file: the moment pass and a write-back each add less than a
     # quarter of it to the process's peak
     m, n = 1 << 19, 8
@@ -138,11 +128,7 @@ def test_file_passes_keep_memory_bounded(tmp_path):
         for _ in range(8):
             f.write(rng.integers(-300, 300, (m // 8, n, n), dtype=np.int16).astype("<i2"))
     size_mib = path.stat().st_size / (1 << 20)
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(gbst.__file__))),
-               OPENBLAS_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", _RSS_CHILD, str(path)], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    read, moments, write = map(float, out.split())
+    read, moments, write = child_peaks(_RSS_CHILD, str(path))
     assert moments - read < size_mib / 4
     assert write - moments < size_mib / 4
 

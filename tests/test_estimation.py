@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import gbst.estimation as estimation
 from gbst.coding import model_covariance, sample_covariance, sample_gmrf, sample_gmrf_blocks
-from gbst.dataset import ResidualDataset, make_dataset, read_gbsr, write_gbsr
+from gbst.dataset import CHUNK_VALUES, ResidualDataset, block_chunks, make_dataset, read_gbsr, write_gbsr
 from gbst.errors import (
     DatasetTooLargeError,
     DegenerateGraphError,
@@ -101,7 +101,10 @@ def _exact_moments(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 )
 def test_integer_moments_exact_for_any_chunk_and_order(blocks, chunk_values, data):
     order = data.draw(st.permutations(range(blocks.shape[0])))
-    with mock.patch.object(estimation, "CHUNK_VALUES", chunk_values):
+    m, n, _ = blocks.shape
+    with mock.patch("gbst.dataset.CHUNK_VALUES", chunk_values):
+        # the patch reaches the walk: it cuts the stack into ceil(M / k) chunks
+        assert len(list(block_chunks(blocks))) == -(-m // max(1, chunk_values // (n * n)))
         got = residual_covariances(ResidualDataset(blocks[order]))
         floats = residual_covariances(make_dataset(blocks))
     for cov, want in zip(got, _exact_moments(blocks)):
@@ -114,8 +117,8 @@ def test_integer_moments_exact_for_any_chunk_and_order(blocks, chunk_values, dat
 @pytest.mark.parametrize("n,count", [(8, 5000), (64, 100)])
 def test_gbsr_moments_exact_across_chunks(tmp_path, n, count):
     # a memmapped file of several chunks, the last one partial, at the i16 extremes
-    assert count % max(1, estimation.CHUNK_VALUES // (n * n)) != 0
-    assert count * n * n > 2 * estimation.CHUNK_VALUES
+    assert count % max(1, CHUNK_VALUES // (n * n)) != 0
+    assert count * n * n > 2 * CHUNK_VALUES
     blocks = np.random.default_rng(n).integers(-32768, 32768, (count, n, n)).astype(np.int16)
     blocks[0], blocks[count // 2, 0], blocks[-1] = -32768, 32767, 32767
     write_gbsr(tmp_path / "x.gbsr", ResidualDataset(blocks))
