@@ -151,13 +151,18 @@ def sample_gmrf_blocks(
     X = C_col^{-T} Z C_row^{-1} with the Cholesky factors of the two
     precisions; row and column second moments come out proportional to
     the respective inverse Laplacians, which is all the ratio-based
-    learning needs.  Z C_row^{-1} is count*N rows of ``sample_gmrf``.
+    learning needs.  Z C_row^{-1} is count*N rows of ``sample_gmrf``;
+    ``block_chunks`` walks them and left-multiplies each chunk in place, so
+    no second array of the output's size is made.
     """
     if row_precision.size != col_precision.size:
         raise DimensionMismatchError("row and column graphs must share N")
     n = row_precision.size
     cinv_col = _inverse_cholesky(col_precision)
-    return cinv_col.T @ sample_gmrf(row_precision, count * n, seed).reshape(count, n, n)
+    x = sample_gmrf(row_precision, count * n, seed).reshape(count, n, n)
+    for chunk in block_chunks(x):
+        chunk[...] = cinv_col.T @ chunk
+    return x
 
 
 def model_covariance(lap: LineGraphLaplacian) -> SampleCovariance:

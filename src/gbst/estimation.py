@@ -82,12 +82,36 @@ class RefinedParam:
 
 
 # Integer blocks: a chunk of block_chunks holds at most max(CHUNK_VALUES, N^2)
-# values, so stacks at most max(CHUNK_VALUES, N) rows; each entry of its product
-# sums at most 2^23 terms of |i16|^2 <= 2^30 while CHUNK_VALUES <= 2^23 (N is a
-# u16): the float64 product stays below 2^53 and is exact; the int64 total has
-# room for fewer than INT64_ROWS rows (2^33 * 2^30 = 2^63).
+# values, so its Gram sums at most max(CHUNK_VALUES, N) terms per entry.  Each
+# term is an i16 product, |x|^2 <= 2^30, so while CHUNK_VALUES <= 2^23 every
+# partial sum, in any order, stays below 2^53: the float64 Gram is exact
+# whichever kernel forms it.  The int64 total has room for fewer than
+# INT64_ROWS rows (2^33 * 2^30 = 2^63).
 INT64_ROWS = 1 << 33
 DIRECTIONS = ("row", "col")
+# Up to this N the Gram is two GEMMs, above it one syrk.  One moment pass over
+# 2^26 i16 values (x86_64, one thread of OpenBLAS 0.3.31, median of 5), syrk ->
+# GEMM in ms, row and col: N = 8: 138 -> 85, 171 -> 110; N = 12: 115 -> 115,
+# 173 -> 149; N = 14: 173 -> 156, 187 -> 178; N = 15: 174 -> 186, 192 -> 187;
+# N = 16: 110 -> 150, 136 -> 176.  Under numpy's default threads the GEMMs also
+# woke OpenBLAS's second thread at N = 32 and 64 (CPU twice wall); syrk did not.
+GEMM_MAX_N = 14
+
+
+def _gram(b: np.ndarray) -> np.ndarray:
+    """b b^T of an (N, K) float64 matrix.
+
+    numpy sends ``b @ b.T`` to syrk; for N <= GEMM_MAX_N two GEMMs on the
+    row halves of the product, whose operands differ, are faster.
+    """
+    n = len(b)
+    if n > GEMM_MAX_N:
+        return b @ b.T
+    g = np.empty((n, n))
+    h = n // 2
+    np.matmul(b[:h], b.T, out=g[:h])
+    np.matmul(b[h:], b.T, out=g[h:])
+    return g
 
 
 def residual_covariances(
@@ -102,14 +126,17 @@ def residual_covariances(
     The blocks are walked in file order by ``block_chunks``, which chooses
     the chunk length and releases the pages of a read-only file mapping
     behind the walk, so the pass keeps a few MiB of the file resident
-    whatever M is.  For each direction a chunk is copied into one reused
-    float64 (k, N, N) buffer, sized by the first chunk: rows as they sit in
-    the file and columns through a transpose of every block (the column
-    moment of X is the row moment of X^T); viewed as a (k*N, N) matrix a,
-    the buffer adds a^T a to the direction's total.  For i16 (or narrower)
-    integer blocks every chunk product is exact and is folded into an int64
+    whatever M is.  For each direction a chunk of k blocks becomes an
+    (N, k*N) float64 matrix b in one reused buffer, sized by the first
+    chunk, and ``_gram`` adds b b^T to the direction's total.  For rows b is
+    the transpose of the chunk cast as it sits, viewed as (k*N, N).  For
+    columns, b[i, j*N:(j+1)*N] is row i of block j: each length-N row moves
+    as one item into a staging buffer of the chunk's dtype, and one
+    contiguous cast fills b (float64 rows move into b itself), so no value
+    is transposed alone.  For i16 (or narrower) integer blocks every chunk
+    product is exact in any summation order and is folded into an int64
     total, so the moments are bit-identical for any chunk size, any block
-    order and any set of directions.
+    order, any Gram kernel and any set of directions.
     """
     blocks = dataset.blocks
     for d in directions:
@@ -119,16 +146,29 @@ def residual_covariances(
     exact = np.issubdtype(blocks.dtype, np.integer) and blocks.dtype.itemsize <= 2
     if exact and m * n >= INT64_ROWS:
         raise DatasetTooLargeError(f"{m * n} rows overflow the exact int64 moment (limit {INT64_ROWS})")
-    flat = np.empty(0)
+    row_item = np.dtype((np.void, n * blocks.dtype.itemsize))
+    flat = stage = np.empty(0)
     totals = {d: np.zeros((n, n), dtype=np.int64 if exact else float) for d in directions}
-    for chunk in block_chunks(blocks):
-        if flat.size < chunk.size:  # only the first chunk, the largest, sizes the buffer
-            flat = np.empty(chunk.size)
-        buf = flat[: chunk.size].reshape(chunk.shape)
-        a = buf.reshape(-1, n)
-        for d, total in totals.items():
-            np.copyto(buf, chunk if d == "row" else chunk.transpose(0, 2, 1))
-            total += (a.T @ a).astype(total.dtype)
+    # a non-finite or overflowing sample ends in SampleCovariance's typed error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk in block_chunks(blocks):
+            if flat.size < chunk.size:  # only the first chunk, the largest, sizes the buffers
+                flat = np.empty(chunk.size)
+                stage = flat if blocks.dtype == flat.dtype else np.empty(chunk.size, blocks.dtype)
+            buf = flat[: chunk.size]
+            for d, total in totals.items():
+                if d == "row":
+                    np.copyto(buf.reshape(chunk.shape), chunk)
+                    b = buf.reshape(-1, n).T
+                else:
+                    # the item view needs each row's values adjacent
+                    rows = np.ascontiguousarray(chunk).view(row_item).reshape(len(chunk), n)
+                    moved = stage[: chunk.size]
+                    np.copyto(moved.view(row_item).reshape(n, len(chunk)), rows.T)
+                    if stage is not flat:
+                        np.copyto(buf, moved)
+                    b = buf.reshape(n, -1)
+                total += _gram(b).astype(total.dtype)
     return tuple(SampleCovariance(totals[d] / (m * n)) for d in directions)
 
 

@@ -210,10 +210,11 @@ print(x.nbytes / (1 << 20), peak_mib() - before)
 
 
 def test_sample_gmrf_blocks_keeps_memory_bounded(child_peaks):
-    # the rows are drawn a chunk at a time, so the peak grows by the (count * N, N)
-    # draws and the blocks made from them, about twice the 24 MiB output
+    # the rows are drawn a chunk at a time and each chunk of blocks is multiplied
+    # in place, so the peak grows by the 24 MiB output and a few MiB more: 1.66x
+    # measured on x86_64, 2.3x when the product was a second whole-stack array
     out_mib, rise_mib = child_peaks(_BLOCKS_RSS_CHILD)
-    assert rise_mib < 2.5 * out_mib
+    assert rise_mib < 1.9 * out_mib
 
 
 def test_coding_gain_isotropic_is_zero():

@@ -44,12 +44,24 @@ def test_covariance_validation():
         SampleCovariance(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_covariance_rejected(bad):
     with pytest.raises(DegenerateInputError, match="non-finite"):
         SampleCovariance(np.array([[bad, 0.0], [0.0, 1.0]]))
     blocks = np.ones((3, 4, 4))
     blocks[1, 2, 3] = bad
+    for direction in ("row", "col"):
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            residual_covariances(make_dataset(blocks), (direction,))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [4, 16])
+def test_overflowing_moment_rejected(n):
+    # finite samples whose products overflow float64 end in the typed error, without a numpy warning
+    blocks = np.ones((3, n, n))
+    blocks[1, 2, 3] = 1e200
     for direction in ("row", "col"):
         with pytest.raises(DegenerateInputError, match="non-finite"):
             residual_covariances(make_dataset(blocks), (direction,))
@@ -93,7 +105,8 @@ def _exact_moments(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @settings(max_examples=80, deadline=None)
 @given(
-    blocks=st.tuples(st.integers(1, 40), st.integers(2, 8)).flatmap(
+    # N on both sides of GEMM_MAX_N, so both Gram kernels are drawn
+    blocks=st.tuples(st.integers(1, 40), st.integers(2, 16)).flatmap(
         lambda mn: arrays(np.int16, (mn[0], mn[1], mn[1]))
     ),
     chunk_values=st.integers(1, 400),
@@ -114,9 +127,12 @@ def test_integer_moments_exact_for_any_chunk_and_order(blocks, chunk_values, dat
         assert np.array_equal(cov.matrix, want.matrix)
 
 
-@pytest.mark.parametrize("n,count", [(8, 5000), (64, 100)])
+# N = 3 halves its GEMM Gram unequally and N = 16 takes syrk; their files also
+# outgrow a 4 MiB release span
+@pytest.mark.parametrize("n,count", [(3, 250_000), (8, 5000), (16, 9000), (64, 100)])
 def test_gbsr_moments_exact_across_chunks(tmp_path, n, count):
     # a memmapped file of several chunks, the last one partial, at the i16 extremes
+    assert 8 <= estimation.GEMM_MAX_N < 16  # 3 and 8 take the GEMMs, 16 and 64 syrk
     assert count % max(1, CHUNK_VALUES // (n * n)) != 0
     assert count * n * n > 2 * CHUNK_VALUES
     blocks = np.random.default_rng(n).integers(-32768, 32768, (count, n, n)).astype(np.int16)
