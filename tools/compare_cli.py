@@ -1,35 +1,41 @@
-"""Compare the gbst command line of two source trees, call by call.
+"""Write the digests of a fixed matrix of gbst command-line calls.
 
-Usage: python tools/compare_cli.py OLD_SRC NEW_SRC
+Usage: PYTHONPATH=src python tools/compare_cli.py
 
-Each SRC is a directory that holds the ``gbst`` package, such as a
-checkout's ``src``.  Every call of a fixed matrix runs once per tree as a
-fresh ``python -m gbst.cli`` process with OPENBLAS_NUM_THREADS=1, in an
-empty working directory of its own.  The matrix covers every command,
-N in {2, 3, 8, 26, 64}, both families, v = 0, v/w = 1e-17 and 1e300,
-generated GBSR files (small ones, ones that span several moment chunks,
-the last one partial, at N = 3, 8 and 64, and one longer than the 4 MiB
-span in which a pass releases a file's pages), ``sweep --data`` with a
+Every call of the matrix runs once through ``gbst.cli.main`` in this
+process, in an empty working directory of its own.  The matrix covers every
+command, N in {2, 3, 8, 26, 64}, both families, v = 0, v/w = 1e-17 and
+1e300, generated GBSR files (small ones, ones that span several moment
+chunks, the last one partial, at N = 3, 8 and 64, and one longer than the
+4 MiB span in which a pass releases a file's pages), ``sweep --data`` with a
 matching and a mismatched ``--n``, large samples whose values lie inside,
 below and above the window 1e-4 <= |x| < 1e16 of fixed-notation text, and
 usage and data errors.
 
-A call differs when its exit code, stdout, stderr or any file it wrote
-differs; the tree's own path is masked in stdout and stderr first.  Each
-differing call is printed with the first line that differs in each part.
-Exit status: 0 when no call differs, 1 otherwise.
+The tool rewrites ``tests/cli_digests.json``: for each call, the first 16
+hex digits of the sha256 of its exit code, its stdout, its stderr and each
+file it wrote, with the data directory masked as ``<data>``, plus the
+fingerprint of the numpy build that made them.  ``tests/test_cli_digests.py``
+runs the matrix again and names each call and part whose digest moved.  A
+change that moves an output on purpose reruns this tool, commits the
+manifest and names the moved calls in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
 import os
+import platform
 import struct
-import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from gbst import cli
 
 SIZES = (2, 3, 8, 26, 64)
 FAMILIES = ("L1", "L2")
@@ -41,7 +47,6 @@ WEIGHTS = (
     ("1", "1e300"), ("1e300", "1e300"), ("1e-300", "1e-300"),
 )
 KINDS = ("DCT2", "DCT4", "DCT8", "DST4", "DST7")
-WORKERS = 4
 
 
 def write_gbsr(path: str, blocks: np.ndarray) -> None:
@@ -129,53 +134,68 @@ def call_matrix(data: list[str]) -> list[list[str]]:
     return calls
 
 
-def run(src: str, argv: list[str]) -> tuple:
-    """(exit code, stdout, stderr, {file name: bytes}) of one fresh process."""
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+def run_call(argv: list[str], data_dir: str) -> dict[str, bytes]:
+    """{part: bytes} of one call: ``exit``, ``stdout``, ``stderr`` and ``file:<name>`` per file written.
+
+    The call runs in an empty working directory of its own.  argparse wraps
+    its usage lines at the terminal width, so COLUMNS is pinned to the 80
+    that a process without a terminal gets; the cwd and COLUMNS are restored
+    afterwards.  data_dir is masked as ``<data>`` in every part.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    home, columns = os.getcwd(), os.environ.get("COLUMNS")
     with tempfile.TemporaryDirectory() as cwd:
-        proc = subprocess.run([sys.executable, "-m", "gbst.cli", *argv], cwd=cwd, env=env,
-                              capture_output=True, text=True)
-        files = {}
-        for name in sorted(os.listdir(cwd)):
-            with open(os.path.join(cwd, name), "rb") as f:
-                files[name] = f.read()
-    return proc.returncode, proc.stdout.replace(src, "<src>"), proc.stderr.replace(src, "<src>"), files
+        try:
+            os.chdir(cwd)
+            os.environ["COLUMNS"] = "80"
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse's usage errors
+                    code = exc.code
+            parts = {"exit": str(code).encode(), "stdout": out.getvalue().encode(),
+                     "stderr": err.getvalue().encode()}
+            for name in sorted(os.listdir(cwd)):
+                with open(name, "rb") as f:
+                    parts["file:" + name] = f.read()
+        finally:
+            os.chdir(home)
+            if columns is None:
+                del os.environ["COLUMNS"]
+            else:
+                os.environ["COLUMNS"] = columns
+    return {part: data.replace(data_dir.encode(), b"<data>") for part, data in parts.items()}
 
 
-def first_difference(a, b) -> str:
-    if isinstance(a, (str, bytes)):
-        la, lb = a.splitlines(), b.splitlines()
-        for i, (x, y) in enumerate(zip(la, lb)):
-            if x != y:
-                return f"line {i + 1}: {x[:160]!r} -> {y[:160]!r}"
-        return f"{len(la)} lines -> {len(lb)} lines"
-    return f"{a!r} -> {b!r}"
-
-
-def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    old, new = (os.path.abspath(src) for src in argv)
+def digests() -> dict[str, dict[str, str]]:
+    """{call: {part: first 16 hex digits of its sha256}} for every call of the matrix."""
+    result = {}
     with tempfile.TemporaryDirectory() as data_dir:
-        calls = call_matrix(make_data(data_dir))
-        with ThreadPoolExecutor(WORKERS) as pool:
-            results = list(pool.map(lambda c: (run(old, c), run(new, c)), calls))
-    differ = 0
-    for call, (a, b) in zip(calls, results):
-        if a == b:
-            continue
-        differ += 1
-        print("gbst " + " ".join(call))
-        for part, x, y in zip(("exit", "stdout", "stderr"), a, b):
-            if x != y:
-                print(f"  {part}: {first_difference(x, y)}")
-        for name in sorted(set(a[3]) | set(b[3])):
-            if a[3].get(name) != b[3].get(name):
-                print(f"  file {name}: {first_difference(a[3].get(name, b''), b[3].get(name, b''))}")
-    print(f"{len(calls)} calls, {differ} differ")
-    return 1 if differ else 0
+        for argv in call_matrix(make_data(data_dir)):
+            key = " ".join(["gbst", *argv]).replace(data_dir, "<data>")
+            result[key] = {part: hashlib.sha256(data).hexdigest()[:16]
+                           for part, data in run_call(argv, data_dir).items()}
+    return result
+
+
+def fingerprint() -> dict[str, str]:
+    """The build whose bits the digests record: numpy, its BLAS and the machine."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "machine": platform.machine()}
+
+
+def main() -> None:
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests",
+                        "cli_digests.json")
+    manifest = {"fingerprint": fingerprint(), "calls": digests()}
+    with open(path, "w") as f:
+        json.dump(manifest, f, indent=1)
+        f.write("\n")
+    print(f"{len(manifest['calls'])} calls -> {path}")
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    if len(sys.argv) > 1:
+        sys.exit(__doc__.strip().splitlines()[2])
+    main()
