@@ -127,13 +127,13 @@ def _fallback_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def block_text(b: np.ndarray) -> str:
-    """The text of a block of rows: a line per row, its values space-separated."""
+    """The text of a block of rows: each row a newline, then its values space-separated."""
     x = b.ravel()
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e16)
     if len(x) < _KERNEL_MIN or 2 * np.count_nonzero(fast) <= len(x):
         # small, or mostly outside the window, where the kernel would only add work
-        row = " ".join(["%.17g"] * b.shape[1]) + "\n"
+        row = "\n" + " ".join(["%.17g"] * b.shape[1])
         return (row * len(b)) % tuple(x.tolist())
     words, key = _window_rows(np.where(fast, x, 1.0))
     slow = np.flatnonzero(~fast)
@@ -143,5 +143,5 @@ def block_text(b: np.ndarray) -> str:
     seps = rows.reshape(b.shape + (_ROW,))[..., 0]
     seps[...] = ord(" ")
     seps[:, 0] = ord("\n")
-    # the block's first separator is dropped and its last newline added
-    return rows[np.take(_MASKS, key, axis=0)].tobytes()[1:].decode("ascii") + "\n"
+    # decoded straight from the compressed bytes: one copy
+    return str(rows[np.take(_MASKS, key, axis=0)], "ascii")

@@ -24,22 +24,46 @@ import numpy as np
 
 from . import coding, estimation, trig
 from .dataset import read_gbsr
-from .errors import GBSTError
-from .graph import GraphFamily, GraphParams, build_ggl, check_size, matrix_text
+from .errors import GBSTError, InvalidParameterError
+from .graph import GraphFamily, GraphParams, build_ggl, check_size, matrix_text, text_blocks
 from .spectral import derive_gbt, gbt_dump
 from .trig import TrigTransformKind
 
 VERIFY_SIZES = (4, 8, 16, 32)
 VERIFY_TOL = 1e-8
 _MAX_ALPHAS = 4096
+# values one `gbst sample` may write: its text streams, so memory no longer bounds --count
+SAMPLE_MAX_VALUES = 1 << 40
 
 
-def _write(path, text: str) -> None:
+def _write(path, text) -> None:
+    """Write a str, or each str of an iterable in turn, to the file at ``path`` or to stdout."""
+    if isinstance(text, str):
+        text = (text,)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     else:
         with open(path, "w") as f:
-            f.write(text)
+            f.writelines(text)
+
+
+class _Counted:
+    """The strs of ``parts`` in turn; len() is the characters given so far.
+
+    perfbench/shim.py takes len() of ``_write``'s text, after the write, as
+    the bytes written; a streamed text answers it without being held whole.
+    """
+
+    def __init__(self, parts):
+        self.parts, self.chars = parts, 0
+
+    def __iter__(self):
+        for part in self.parts:
+            self.chars += len(part)
+            yield part
+
+    def __len__(self):
+        return self.chars
 
 
 def _laplacian(args):
@@ -165,8 +189,12 @@ def cmd_gen_matrix(args, parser) -> int:
 
 
 def cmd_sample(args, parser) -> int:
-    x = coding.sample_gmrf(_laplacian(args), args.count, args.seed)
-    _write(args.out, matrix_text(x))
+    lap = _laplacian(args)
+    if args.count * args.n > SAMPLE_MAX_VALUES:  # before the output is opened or a row drawn
+        raise InvalidParameterError(f"count {args.count} at N={args.n} exceeds {SAMPLE_MAX_VALUES} values")
+    # the draw's checks run on this call, so a bad count, seed or precision leaves no file
+    chunks = coding.gmrf_chunks(lap, args.count, args.seed)
+    _write(args.out, _Counted(text_blocks(chunks)))
     return 0
 
 

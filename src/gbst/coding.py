@@ -75,13 +75,25 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 
 
 def _box_muller(gen: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` standard normals: r cos(2 pi u2), r sin(2 pi u2) with r = sqrt(-2 log(1 - u1)).
+
+    The ufuncs are those of the plain expression, in its order, on
+    contiguous (pairs,) buffers reused in place; only the products write
+    into the interleaved output.
+    """
     pairs = (count + 1) // 2
-    u1 = 1.0 - gen.random(pairs)  # in (0, 1], keeps the log finite
-    u2 = gen.random(pairs)
-    r = np.sqrt(-2.0 * np.log(u1))
+    r = gen.random(pairs)
+    np.subtract(1.0, r, out=r)  # in (0, 1], keeps the log finite
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t = gen.random(pairs)
+    t *= 2.0 * np.pi
+    c = np.cos(t)
+    np.sin(t, out=t)
     z = np.empty(2 * pairs)
-    z[0::2] = r * np.cos(2.0 * np.pi * u2)
-    z[1::2] = r * np.sin(2.0 * np.pi * u2)
+    np.multiply(r, c, out=z[0::2])
+    np.multiply(r, t, out=z[1::2])
     return z[:count]
 
 
@@ -102,7 +114,7 @@ def _inverse_cholesky(lap: LineGraphLaplacian) -> np.ndarray:
     return _factor_precision(lap, lambda m: np.linalg.inv(np.linalg.cholesky(m)))
 
 
-def _gmrf_chunks(precision: LineGraphLaplacian, count: int, seed: int):
+def gmrf_chunks(precision: LineGraphLaplacian, count: int, seed: int):
     """Draws x ~ N(0, L^{-1}) as (m, N) arrays of at most SAMPLE_CHUNK_ROWS rows, ``count`` rows in all.
 
     With the Cholesky factor L = C C^T, each standard normal row g maps to
@@ -122,7 +134,7 @@ def _gmrf_chunks(precision: LineGraphLaplacian, count: int, seed: int):
 
 def sample_gmrf(precision: LineGraphLaplacian, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` vectors x ~ N(0, L^{-1}) as rows of a (count, N) array."""
-    chunks = _gmrf_chunks(precision, count, seed)
+    chunks = gmrf_chunks(precision, count, seed)
     try:  # before the first draw, so a huge count fails at once
         out = np.empty((count, precision.size))
     except ValueError as exc:  # a shape past numpy's limits; one too big for memory is a MemoryError
@@ -135,7 +147,7 @@ def sample_gmrf(precision: LineGraphLaplacian, count: int, seed: int) -> np.ndar
 def sample_covariance(precision: LineGraphLaplacian, count: int, seed: int) -> SampleCovariance:
     """Second-moment matrix of ``count`` GMRF draws, summed chunk by chunk."""
     acc = np.zeros((precision.size, precision.size))
-    for x in _gmrf_chunks(precision, count, seed):
+    for x in gmrf_chunks(precision, count, seed):
         acc += x.T @ x
     return SampleCovariance(acc / count)
 

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import gbst.cli as cli
+import gbst.coding as coding
 import gbst.estimation as estimation
+import gbst.graph as graph
 import gbst.trig as trig
 from gbst.coding import sample_gmrf_blocks
 from gbst.dataset import make_dataset, write_gbsr
-from gbst.graph import GraphFamily, GraphParams, build_ggl
+from gbst.graph import GraphFamily, GraphParams, build_ggl, matrix_text
 from gbst.spectral import derive_gbt
 
 
@@ -274,6 +276,55 @@ def test_sample_negative_seed_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+@pytest.mark.parametrize("rows", ["1", "block-1", "block", "block+1", "chunk+1"])
+def test_sample_streams_the_bytes_of_matrix_text(tmp_path, capsys, n, rows):
+    # counts on both sides of a text block, and past one draw chunk
+    block = graph._TEXT_BLOCK // n
+    count = {"1": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
+             "chunk+1": coding.SAMPLE_CHUNK_ROWS + 1}[rows]
+    lap = build_ggl(GraphParams(1.3, 0.7, GraphFamily.L2), n)
+    want = matrix_text(coding.sample_gmrf(lap, count, 5))
+    argv = ["sample", "--family", "L2", "--w", "1.3", "--v", "0.7", "--n", str(n), "--count", str(count),
+            "--seed", "5"]
+    assert run(capsys, *argv) == (0, want, "")
+    path = tmp_path / "x.txt"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_text() == want
+
+
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        (["--v", "0", "--count", "5"], "x.txt"),
+        (["--v", "1", "--count", "5", "--seed", "-1"], "x.txt"),
+        (["--v", "1", "--count", str(cli.SAMPLE_MAX_VALUES // 4 + 1)], "x.txt"),
+        (["--v", "1", "--count", "5"], "missing/x.txt"),
+    ],
+)
+def test_sample_error_leaves_no_file(tmp_path, capsys, argv, out):
+    code, stdout, err = run(capsys, "sample", "--w", "1", "--n", "4", *argv, "--out", str(tmp_path / out))
+    assert (code, stdout) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.count("error:") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_bound_counts_values(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SAMPLE_MAX_VALUES", 40)
+    argv = ["sample", "--w", "1", "--v", "1", "--n", "4", "--count"]
+    assert run(capsys, *argv, "10")[0] == 0
+    assert run(capsys, *argv, "11") == (3, "", "error: count 11 at N=4 exceeds 40 values\n")
+
+
+def test_sample_memory_does_not_grow_with_count(child_peaks):
+    # the text streams a block at a time, so ten times the rows peak at the same height;
+    # the whole (count, N) array and its text took about 80 MiB at 10^5 rows
+    script = "import sys\nfrom gbst import cli\ncli.main(sys.argv[1:])\nprint(peak_mib())"
+    argv = ["sample", "--w", "1", "--v", "1", "--n", "8", "--out", os.devnull, "--count"]
+    (small,), (big,) = (child_peaks(script, *argv, count) for count in ("100000", "1000000"))
+    assert big < small + 4
 
 
 def test_usage_error_exit_code(capsys):

@@ -164,6 +164,27 @@ def _philox_draws(seed, sizes):
     return [_box_muller(gen, size) for size in sizes]
 
 
+def _box_muller_expression(gen, count):
+    """Box-Muller as one plain expression per output; ``_box_muller`` must give its bits."""
+    pairs = (count + 1) // 2
+    u1 = 1.0 - gen.random(pairs)
+    u2 = gen.random(pairs)
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.empty(2 * pairs)
+    z[0::2] = r * np.cos(2.0 * np.pi * u2)
+    z[1::2] = r * np.sin(2.0 * np.pi * u2)
+    return z[:count]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 2**18, 2**18 + 1])
+def test_box_muller_gives_the_plain_expressions_bits(count):
+    # the Philox pin tests below draw through _box_muller itself, so only this one sees its arithmetic
+    got, want = (f(np.random.Generator(np.random.Philox(31)), count)
+                 for f in (_box_muller, _box_muller_expression))
+    assert got.shape == (count,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("n, count, chunk", [(8, 1000, 300), (5, 100, 7)])
 def test_sample_gmrf_pins_philox_stream(monkeypatch, n, count, chunk):
     # x = g C^{-1} with L = C C^T, so x C gives back the Box-Muller draws g

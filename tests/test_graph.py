@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from gbst.errors import DimensionMismatchError, InvalidDimensionError, InvalidParameterError
 from gbst.graph import (
+    _TEXT_BLOCK,
     GraphFamily,
     GraphParams,
     LineGraphLaplacian,
@@ -161,10 +162,10 @@ def test_matrix_text_rejects_more_than_two_dimensions():
 
 @st.composite
 def text_matrices(draw):
-    # up to three 2^15-value blocks and one row more; the rows around a block's
+    # up to three text blocks and one row more; the rows around a block's
     # end are drawn on purpose, so shapes on both sides of a boundary occur
     n = draw(st.sampled_from([1, 2, 3, 8, 64]))
-    per_block = (1 << 15) // n
+    per_block = _TEXT_BLOCK // n
     edges = [per_block - 1, per_block, per_block + 1, 2 * per_block + 1]
     rows = draw(st.sampled_from(edges) | st.integers(1, 3 * per_block + 1))
     fill = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
@@ -202,9 +203,9 @@ window_values = st.one_of(
 @st.composite
 def window_matrices(draw):
     # values inside the window of both signs, with values outside it mixed into
-    # the same rows, in shapes at the 2^15-value block edges
+    # the same rows, in shapes at the text block edges
     n = draw(st.sampled_from([1, 2, 3, 8, 64]))
-    per_block = (1 << 15) // n
+    per_block = _TEXT_BLOCK // n
     rows = draw(st.sampled_from([1, per_block - 1, per_block, per_block + 1, 2 * per_block + 1]))
     inside = draw(st.lists(st.tuples(window_values, st.booleans()), min_size=1, max_size=48))
     pool = [-v if neg else v for v, neg in inside] + draw(st.lists(st.sampled_from(OUTSIDE_WINDOW), max_size=8))

@@ -9,7 +9,8 @@ command, N in {2, 3, 8, 26, 64}, both families, v = 0, v/w = 1e-17 and
 chunks, the last one partial, at N = 3, 8 and 64, and one longer than the
 4 MiB span in which a pass releases a file's pages), ``sweep --data`` with a
 matching and a mismatched ``--n``, large samples whose values lie inside,
-below and above the window 1e-4 <= |x| < 1e16 of fixed-notation text, and
+below and above the window 1e-4 <= |x| < 1e16 of fixed-notation text,
+samples streamed to stdout across text-block and draw-chunk boundaries, and
 usage and data errors.
 
 The tool rewrites ``tests/cli_digests.json``: for each call, the first 16
@@ -104,12 +105,18 @@ def call_matrix(data: list[str]) -> list[list[str]]:
                 calls.append(["sweep", "--n", str(n), "--family", fam, "--alphas", "0:0.25:2",
                               "--model-v", v, "--out", "sweep.csv"])
         calls += [["gen-matrix", "--kind", k, "--n", str(n)] for k in KINDS]
-    # text output across 2^15-value blocks on both sides of the window where %.17g
+    # text output across 2^14-value blocks on both sides of the window where %.17g
     # prints fixed notation: values near 1, all below 1e-4, mostly above 1e16, N = 64
     for w, n, count in (("1", "8", "100000"), ("1e12", "8", "100000"), ("1e-34", "8", "100000"),
                         ("1", "64", "5000")):
         calls.append(["sample", "--w", w, "--v", w, "--n", n, "--count", count, "--seed", "9",
                       "--out", "big.txt"])
+    # streamed to stdout across text blocks of 2^13 to 2^15 values and past one
+    # 2^15-row draw chunk, inside and below the window
+    for w, n, count in (("1", "2", "32769"), ("1", "3", "32769"), ("1e12", "8", "32769"),
+                        ("1", "64", "513")):
+        calls.append(["sample", "--family", "L2", "--w", w, "--v", w, "--n", n, "--count", count,
+                      "--seed", "4"])
     for path in data:
         for fam in FAMILIES:
             for direction in ("row", "col"):
