@@ -24,7 +24,7 @@ import numpy as np
 
 from . import coding, estimation, trig
 from .dataset import read_gbsr
-from .errors import GBSTError, InvalidParameterError
+from .errors import GBSTError
 from .graph import GraphFamily, GraphParams, build_ggl, check_size, matrix_text, text_blocks
 from .spectral import derive_gbt, gbt_dump
 from .trig import TrigTransformKind
@@ -32,8 +32,6 @@ from .trig import TrigTransformKind
 VERIFY_SIZES = (4, 8, 16, 32)
 VERIFY_TOL = 1e-8
 _MAX_ALPHAS = 4096
-# values one `gbst sample` may write: its text streams, so memory no longer bounds --count
-SAMPLE_MAX_VALUES = 1 << 40
 
 
 def _write(path, text) -> None:
@@ -189,11 +187,8 @@ def cmd_gen_matrix(args, parser) -> int:
 
 
 def cmd_sample(args, parser) -> int:
-    lap = _laplacian(args)
-    if args.count * args.n > SAMPLE_MAX_VALUES:  # before the output is opened or a row drawn
-        raise InvalidParameterError(f"count {args.count} at N={args.n} exceeds {SAMPLE_MAX_VALUES} values")
     # the draw's checks run on this call, so a bad count, seed or precision leaves no file
-    chunks = coding.gmrf_chunks(lap, args.count, args.seed)
+    chunks = coding.gmrf_chunks(_laplacian(args), args.count, args.seed)
     _write(args.out, _Counted(text_blocks(chunks)))
     return 0
 

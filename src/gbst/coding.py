@@ -29,6 +29,8 @@ from .spectral import TransformMatrix, apply_separable, check_block_shape, deriv
 
 # rows per GMRF draw; it fixes the Philox split into Box-Muller u1/u2, so the sample bits
 SAMPLE_CHUNK_ROWS = 1 << 15
+# values one draw may make: the draw streams in chunks, so memory alone does not bound count
+SAMPLE_MAX_VALUES = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -77,23 +79,15 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 def _box_muller(gen: np.random.Generator, count: int) -> np.ndarray:
     """``count`` standard normals: r cos(2 pi u2), r sin(2 pi u2) with r = sqrt(-2 log(1 - u1)).
 
-    The ufuncs are those of the plain expression, in its order, on
-    contiguous (pairs,) buffers reused in place; only the products write
-    into the interleaved output.
+    Each (pairs,) array lives only until its last use, so a chunk's draw
+    holds at most r, the angle and one cosine or sine beside the output.
     """
     pairs = (count + 1) // 2
-    r = gen.random(pairs)
-    np.subtract(1.0, r, out=r)  # in (0, 1], keeps the log finite
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    t = gen.random(pairs)
-    t *= 2.0 * np.pi
-    c = np.cos(t)
-    np.sin(t, out=t)
+    r = np.sqrt(-2.0 * np.log(1.0 - gen.random(pairs)))  # 1 - u1 is in (0, 1], so the log is finite
+    angle = 2.0 * np.pi * gen.random(pairs)
     z = np.empty(2 * pairs)
-    np.multiply(r, c, out=z[0::2])
-    np.multiply(r, t, out=z[1::2])
+    np.multiply(r, np.cos(angle), out=z[0::2])
+    np.multiply(r, np.sin(angle), out=z[1::2])
     return z[:count]
 
 
@@ -119,13 +113,15 @@ def gmrf_chunks(precision: LineGraphLaplacian, count: int, seed: int):
 
     With the Cholesky factor L = C C^T, each standard normal row g maps to
     x = g C^{-1}, so cov(x) = C^{-T} C^{-1} = L^{-1}.  The checks run on the
-    call; the draws run as the result is iterated.
+    call, the bound on count * N first; the draws run as the result is iterated.
     """
+    n = precision.size
+    if count * n > SAMPLE_MAX_VALUES:
+        raise InvalidParameterError(f"count {count} at N={n} exceeds {SAMPLE_MAX_VALUES} values")
     if count < 1:
         raise InvalidParameterError(f"count must be >= 1, got {count}")
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
-    n = precision.size
     cinv = _inverse_cholesky(precision)
     gen = np.random.Generator(np.random.Philox(seed))
     sizes = (min(SAMPLE_CHUNK_ROWS, count - start) for start in range(0, count, SAMPLE_CHUNK_ROWS))
@@ -135,10 +131,7 @@ def gmrf_chunks(precision: LineGraphLaplacian, count: int, seed: int):
 def sample_gmrf(precision: LineGraphLaplacian, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` vectors x ~ N(0, L^{-1}) as rows of a (count, N) array."""
     chunks = gmrf_chunks(precision, count, seed)
-    try:  # before the first draw, so a huge count fails at once
-        out = np.empty((count, precision.size))
-    except ValueError as exc:  # a shape past numpy's limits; one too big for memory is a MemoryError
-        raise InvalidParameterError(f"count {count} at N={precision.size} exceeds one array") from exc
+    out = np.empty((count, precision.size))  # before any draw, so a count too big for memory fails at once
     for start, x in zip(range(0, count, SAMPLE_CHUNK_ROWS), chunks):
         out[start : start + len(x)] = x
     return out
@@ -248,8 +241,8 @@ def integerize(t: TransformMatrix) -> IntTransformMatrix:
     scale = 64.0 * math.sqrt(t.size)
     entries = round_half_away(scale * t.basis.T)
     worst = np.abs(entries).max()
-    if worst > 127:
-        raise IntegerOverflowError(f"entry magnitude {int(worst)} exceeds 127")
+    if not worst <= 127:  # a NaN basis fails too
+        raise IntegerOverflowError(f"entry magnitude {worst:.0f} exceeds 127")
     return IntTransformMatrix(entries.astype(np.int64))
 
 

@@ -199,7 +199,10 @@ def ml_objective(params: GraphParams, cov: SampleCovariance) -> float:
     _, tr_ps, s_kk = _path_moments(params.family, cov)
     check_positive_definite(params)
     w, v = params.edge_weight, params.vertex_weight
-    return w * tr_ps + v * s_kk - (cov.size - 1) * math.log(w) - math.log(v)
+    value = w * tr_ps + v * s_kk - (cov.size - 1) * math.log(w) - math.log(v)
+    if not math.isfinite(value):  # w Tr(PS) or v S_kk overflowed float64
+        raise InvalidParameterError(f"objective is not finite at w={w}, v={v}")
+    return value
 
 
 def ml_gradient(params: GraphParams, cov: SampleCovariance) -> tuple[float, float]:

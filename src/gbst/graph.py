@@ -43,10 +43,10 @@ class GraphFamily(Enum):
 class GraphParams:
     """The (edge weight, vertex weight, family) triple defining a line graph.
 
-    Both weights must be finite and nonnegative.  ``family`` may be given
-    as a GraphFamily or its value ("L1", "L2").  Operations that need a
-    positive definite Laplacian additionally require both to be strictly
-    positive; they call ``check_positive_definite``.
+    Both weights must be nonnegative and keep 4w + v finite.  ``family``
+    may be given as a GraphFamily or its value ("L1", "L2").  Operations
+    that need a positive definite Laplacian additionally require both to be
+    strictly positive; they call ``check_positive_definite``.
     """
 
     edge_weight: float
@@ -67,9 +67,11 @@ class GraphParams:
                 f"graph weights must be nonnegative, got "
                 f"w={self.edge_weight}, v={self.vertex_weight}"
             )
-        if not (math.isfinite(self.edge_weight) and math.isfinite(self.vertex_weight)):
+        # 4w + v bounds every entry and eigenvalue of L (Gershgorin), so dense_form and eigh stay finite
+        if not math.isfinite(4.0 * self.edge_weight + self.vertex_weight):
             raise InvalidParameterError(
-                f"graph weights must be finite, got w={self.edge_weight}, v={self.vertex_weight}"
+                f"graph weights must be finite, with 4w + v finite, got "
+                f"w={self.edge_weight}, v={self.vertex_weight}"
             )
         # stored as the member, so "L1" and GraphFamily.L1 define the same graph
         try:

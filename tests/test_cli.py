@@ -262,8 +262,8 @@ def test_sample_at_huge_weights_succeeds():
 @pytest.mark.parametrize("n", [4, 64])
 @pytest.mark.parametrize("count", [10**15, 2**62, 10**20])
 def test_sample_huge_count_exits_3(capsys, n, count):
-    # the (count, N) output is allocated before the first draw, so these fail at once:
-    # too large for memory, past numpy's size limit, and past its dimension limit
+    # counts too large for memory, past numpy's size limit and past its dimension limit;
+    # gmrf_chunks bounds count * N on its call, so each fails before any draw or output
     code, out, err = run(capsys, "sample", "--w", "1", "--v", "1", "--n", str(n), "--count", str(count))
     assert code == 3
     assert out == ""
@@ -300,7 +300,7 @@ def test_sample_streams_the_bytes_of_matrix_text(tmp_path, capsys, n, rows):
     [
         (["--v", "0", "--count", "5"], "x.txt"),
         (["--v", "1", "--count", "5", "--seed", "-1"], "x.txt"),
-        (["--v", "1", "--count", str(cli.SAMPLE_MAX_VALUES // 4 + 1)], "x.txt"),
+        (["--v", "1", "--count", str(coding.SAMPLE_MAX_VALUES // 4 + 1)], "x.txt"),
         (["--v", "1", "--count", "5"], "missing/x.txt"),
     ],
 )
@@ -312,7 +312,7 @@ def test_sample_error_leaves_no_file(tmp_path, capsys, argv, out):
 
 
 def test_sample_bound_counts_values(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "SAMPLE_MAX_VALUES", 40)
+    monkeypatch.setattr(coding, "SAMPLE_MAX_VALUES", 40)
     argv = ["sample", "--w", "1", "--v", "1", "--n", "4", "--count"]
     assert run(capsys, *argv, "10")[0] == 0
     assert run(capsys, *argv, "11") == (3, "", "error: count 11 at N=4 exceeds 40 values\n")
@@ -354,6 +354,9 @@ def test_invalid_params_exit_code(capsys):
         ["basis", "--w", "nan", "--v", "1", "--n", "4"],
         ["sample", "--w", "1", "--v", "nan", "--n", "4", "--count", "2"],
         ["sample", "--w=-inf", "--v", "1", "--n", "4", "--count", "2"],
+        ["sample", "--w", "1e308", "--v", "1e308", "--n", "4", "--count", "2"],
+        ["basis", "--w", "1e308", "--v", "0", "--n", "4"],
+        ["gen-matrix", "--w", "1e308", "--v", "0", "--n", "64"],
         ["sweep", "--n", "8", "--model-v", "nan", "--alphas", "0:0.25:1"],
         ["refine", "--w", "nan", "--v", "1"],
         ["refine", "--w", "1", "--v", "inf"],

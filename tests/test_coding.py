@@ -158,6 +158,16 @@ def test_samplers_reject_negative_seed(name):
         SAMPLERS[name](_PD, 5, seed=-1)
 
 
+@pytest.mark.parametrize("name", [*SAMPLERS, "chunks"])
+def test_samplers_bound_count_times_n_on_the_call(monkeypatch, name):
+    # 11 rows of 4 values pass a bound of 40; the check runs before any Box-Muller draw
+    monkeypatch.setattr(coding, "SAMPLE_MAX_VALUES", 40)
+    monkeypatch.setattr(coding, "_box_muller", None)
+    draw = SAMPLERS.get(name, lambda lap, count, seed=0: coding.gmrf_chunks(lap, count, seed))
+    with pytest.raises(InvalidParameterError, match=r"^count \d+ at N=4 exceeds 40 values$"):
+        draw(_PD, 11)
+
+
 def _philox_draws(seed, sizes):
     """The standard normal stream the samplers consume, drawn in the same pieces."""
     gen = np.random.Generator(np.random.Philox(seed))
@@ -214,9 +224,10 @@ def test_sample_gmrf_blocks_pins_philox_stream(monkeypatch):
 
 @pytest.mark.parametrize("n", [4, 64])
 def test_sample_gmrf_blocks_huge_count_is_typed(n):
-    # count * n rows past numpy's shape limits fail in sample_gmrf, before any draw
+    # count * n rows of n values pass the bound of gmrf_chunks, before any draw
     lap = build_ggl(GraphParams(1, 1, L1), n)
-    with pytest.raises(InvalidParameterError, match=f"^count {2**62 * n} at N={n} exceeds one array$"):
+    message = f"^count {2**62 * n} at N={n} exceeds {coding.SAMPLE_MAX_VALUES} values$"
+    with pytest.raises(InvalidParameterError, match=message):
         sample_gmrf_blocks(lap, lap, 2**62, seed=0)
 
 
@@ -322,8 +333,11 @@ def test_integerize_dct2():
 
 
 def test_integerize_overflow_guard():
-    with pytest.raises(IntegerOverflowError):
-        integerize(identity_transform(4))
+    # 64 * sqrt(4) = 128 on the identity's diagonal; a NaN basis must not pass as an int64 table
+    nan_basis = TransformMatrix(np.full((4, 4), np.nan), np.zeros(4))
+    for t, worst in ((identity_transform(4), "128"), (nan_basis, "nan")):
+        with pytest.raises(IntegerOverflowError, match=f"^entry magnitude {worst} exceeds 127$"):
+            integerize(t)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])

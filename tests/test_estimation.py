@@ -28,6 +28,7 @@ from gbst.estimation import (
     solve_ml,
 )
 from gbst.graph import GraphFamily, GraphParams, build_ggl, dense_form
+from gbst.spectral import derive_gbt
 
 L1, L2 = GraphFamily.L1, GraphFamily.L2
 
@@ -286,27 +287,41 @@ def test_objective_matches_dense_form(w, v, n, family, seed):
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=200, deadline=None)
 @given(
-    w=log_uniform(-300, 300),
-    v=log_uniform(-300, 300),
+    w=log_uniform(-300, 308),
+    v=log_uniform(-300, 308),
     n=st.integers(2, 64),
     family=st.sampled_from([L1, L2]),
 )
 @example(w=1e300, v=1e300, n=8, family=L1)
 @example(w=1e300, v=1e-300, n=64, family=L2)
 @example(w=1e-300, v=1e300, n=64, family=L1)
+@example(w=1e308, v=0.0, n=4, family=L1)  # 2w overflows in the dense matrix
+@example(w=5e307, v=1.0, n=8, family=L2)  # 2w is finite, the eigenvalues near 4w are not
+@example(w=4e307, v=1.0, n=8, family=L1)  # accepted; w Tr(PS) overflows in ml_objective
 def test_extreme_weights_give_finite_values_or_a_typed_error(w, v, n, family):
-    lap = build_ggl(GraphParams(w, v, family), n)
     cov = random_cov(np.random.default_rng(n), n)
+
+    def scale_free_basis(lap):
+        # L(w, v) = w L(1, v/w), so the basis depends on v/w alone
+        basis = derive_gbt(lap).basis
+        try:
+            unit = derive_gbt(build_ggl(GraphParams(1.0, v / w, family), n)).basis
+        except GBSTError:  # v/w overflows, or its spectrum fails the absolute gap rule
+            return basis
+        assert np.abs(basis - unit).max() <= 1e-8
+        return basis
+
     calls = {
-        "sample_gmrf": lambda: sample_gmrf(lap, 3, 0),
-        "sample_covariance": lambda: sample_covariance(lap, 3, 0).matrix,
-        "sample_gmrf_blocks": lambda: sample_gmrf_blocks(lap, lap, 2, 0),
-        "model_covariance": lambda: model_covariance(lap).matrix,
-        "ml_objective": lambda: ml_objective(lap.params, cov),
+        "sample_gmrf": lambda lap: sample_gmrf(lap, 3, 0),
+        "sample_covariance": lambda lap: sample_covariance(lap, 3, 0).matrix,
+        "sample_gmrf_blocks": lambda lap: sample_gmrf_blocks(lap, lap, 2, 0),
+        "model_covariance": lambda lap: model_covariance(lap).matrix,
+        "ml_objective": lambda lap: ml_objective(lap.params, cov),
+        "derive_gbt": scale_free_basis,
     }
     for name, call in calls.items():
         try:
-            value = call()
+            value = call(build_ggl(GraphParams(w, v, family), n))
         except GBSTError:
             continue
         assert np.isfinite(value).all(), name

@@ -53,6 +53,10 @@ def test_invalid_inputs():
         GraphParams(-1, 0, L1)
     with pytest.raises(InvalidParameterError):
         GraphParams(1, -0.5, L2)
+    # finite weights whose 4w + v, the Gershgorin bound on L, overflows
+    for w, v in ((1e308, 0), (2.5e307, 1e308), (5e307, 0)):
+        with pytest.raises(InvalidParameterError, match="4w \\+ v finite"):
+            GraphParams(w, v, L1)
     for w in ("1", None):
         with pytest.raises(InvalidParameterError, match="real numbers"):
             GraphParams(w, 1, L1)

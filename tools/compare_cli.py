@@ -5,13 +5,14 @@ Usage: PYTHONPATH=src python tools/compare_cli.py
 Every call of the matrix runs once through ``gbst.cli.main`` in this
 process, in an empty working directory of its own.  The matrix covers every
 command, N in {2, 3, 8, 26, 64}, both families, v = 0, v/w = 1e-17 and
-1e300, generated GBSR files (small ones, ones that span several moment
-chunks, the last one partial, at N = 3, 8 and 64, and one longer than the
-4 MiB span in which a pass releases a file's pages), ``sweep --data`` with a
-matching and a mismatched ``--n``, large samples whose values lie inside,
-below and above the window 1e-4 <= |x| < 1e16 of fixed-notation text,
-samples streamed to stdout across text-block and draw-chunk boundaries, and
-usage and data errors.
+1e300, an edge weight whose 4w + v overflows float64, generated GBSR files
+(small ones, ones that span several moment chunks, the last one partial, at
+N = 3, 8 and 64, and one longer than the 4 MiB span in which a pass
+releases a file's pages), ``sweep --data`` with a matching and a
+mismatched ``--n``, large samples whose values lie inside, below and above
+the window 1e-4 <= |x| < 1e16 of fixed-notation text, samples streamed to
+stdout across text-block and draw-chunk boundaries, and usage and data
+errors.
 
 The tool rewrites ``tests/cli_digests.json``: for each call, the first 16
 hex digits of the sha256 of its exit code, its stdout, its stderr and each
@@ -41,11 +42,11 @@ from gbst import cli
 SIZES = (2, 3, 8, 26, 64)
 FAMILIES = ("L1", "L2")
 # (w, v): interior, v = 0, w = 0, v/w = 1e-17 (twice: LAPACK's Cholesky rejects the float64
-# matrix at w = 1 and factors it by roundoff at w = 0.7) and 1e300, and both weights at the
-# float64 extremes
+# matrix at w = 1 and factors it by roundoff at w = 0.7) and 1e300, both weights at the
+# float64 extremes, and a w whose 4w + v overflows
 WEIGHTS = (
     ("1", "1"), ("2.5", "0.75"), ("1", "0"), ("0", "1"), ("1", "1e-17"), ("0.7", "7e-18"),
-    ("1", "1e300"), ("1e300", "1e300"), ("1e-300", "1e-300"),
+    ("1", "1e300"), ("1e300", "1e300"), ("1e-300", "1e-300"), ("1e308", "0"),
 )
 KINDS = ("DCT2", "DCT4", "DCT8", "DST4", "DST7")
 
