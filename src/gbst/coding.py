@@ -29,6 +29,10 @@ from .spectral import TransformMatrix, apply_separable, check_block_shape, deriv
 
 # rows per GMRF draw; it fixes the Philox split into Box-Muller u1/u2, so the sample bits
 SAMPLE_CHUNK_ROWS = 1 << 15
+# Box-Muller pairs per piece: above N = 8 a chunk is drawn in pieces of at most 2^18 values
+_PIECE_PAIRS = 1 << 17
+# no Box-Muller value is larger in magnitude: 1 - u1 >= 2^-53, so r = sqrt(-2 log(1 - u1)) <= this
+_BOX_MULLER_MAX = math.sqrt(106.0 * math.log(2.0))
 # values one draw may make: the draw streams in chunks, so memory alone does not bound count
 SAMPLE_MAX_VALUES = 1 << 40
 
@@ -76,19 +80,28 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return q
 
 
-def _box_muller(gen: np.random.Generator, count: int) -> np.ndarray:
+def _box_muller(gen: np.random.Generator, count: int, gen2: np.random.Generator | None = None) -> np.ndarray:
     """``count`` standard normals: r cos(2 pi u2), r sin(2 pi u2) with r = sqrt(-2 log(1 - u1)).
 
-    Each (pairs,) array lives only until its last use, so a chunk's draw
-    holds at most r, the angle and one cosine or sine beside the output.
+    u1 comes from ``gen`` and u2 from ``gen2``, by default from ``gen`` after u1.
+    Each (pairs,) array lives only until its last use, so a draw holds at
+    most r, the angle and one cosine or sine beside the output.
     """
     pairs = (count + 1) // 2
     r = np.sqrt(-2.0 * np.log(1.0 - gen.random(pairs)))  # 1 - u1 is in (0, 1], so the log is finite
-    angle = 2.0 * np.pi * gen.random(pairs)
+    angle = 2.0 * np.pi * (gen if gen2 is None else gen2).random(pairs)
     z = np.empty(2 * pairs)
     np.multiply(r, np.cos(angle), out=z[0::2])
     np.multiply(r, np.sin(angle), out=z[1::2])
     return z[:count]
+
+
+def _philox_at(seed: int, position: int) -> np.random.Generator:
+    """A generator whose next uniform is draw ``position`` of the Philox(seed) stream."""
+    bits = np.random.Philox(seed)
+    bits.advance(position // 4)  # one counter step makes four 64-bit draws
+    bits.random_raw(position % 4)
+    return np.random.Generator(bits)
 
 
 def _factor_precision(lap: LineGraphLaplacian, factor) -> np.ndarray:
@@ -109,7 +122,7 @@ def _inverse_cholesky(lap: LineGraphLaplacian) -> np.ndarray:
 
 
 def gmrf_chunks(precision: LineGraphLaplacian, count: int, seed: int):
-    """Draws x ~ N(0, L^{-1}) as (m, N) arrays of at most SAMPLE_CHUNK_ROWS rows, ``count`` rows in all.
+    """Draws x ~ N(0, L^{-1}) as (m, N) arrays of at most 2^18 values, ``count`` rows in all.
 
     With the Cholesky factor L = C C^T, each standard normal row g maps to
     x = g C^{-1}, so cov(x) = C^{-T} C^{-1} = L^{-1}.  The checks run on the
@@ -122,25 +135,60 @@ def gmrf_chunks(precision: LineGraphLaplacian, count: int, seed: int):
         raise InvalidParameterError(f"count must be >= 1, got {count}")
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
-    cinv = _inverse_cholesky(precision)
-    gen = np.random.Generator(np.random.Philox(seed))
-    sizes = (min(SAMPLE_CHUNK_ROWS, count - start) for start in range(0, count, SAMPLE_CHUNK_ROWS))
-    return (_box_muller(gen, m * n).reshape(m, n) @ cinv for m in sizes)
+    return _draw_pieces(_inverse_cholesky(precision), count, seed)
+
+
+def _draw_pieces(cinv: np.ndarray, count: int, seed: int):
+    """The rows g C^{-1} of ``count`` Box-Muller rows g, in pieces of at most 2 * _PIECE_PAIRS values.
+
+    Chunk k of SAMPLE_CHUNK_ROWS rows takes its u1, then its u2, from the
+    Philox stream, as one Box-Muller call on that chunk would.  Its pieces
+    take u1 from the generator the chunk began on and u2 from a second one
+    started where the chunk's u2 begins, so they carry the chunk's bits;
+    that second generator ends where the next chunk's u1 begins.
+    """
+    n = len(cinv)
+    rows = 2 * (_PIECE_PAIRS // n)  # even, so every piece but a last one ends on a whole pair
+    first, drawn = np.random.Generator(np.random.Philox(seed)), 0
+    for start in range(0, count, SAMPLE_CHUNK_ROWS):
+        m = min(SAMPLE_CHUNK_ROWS, count - start)
+        pairs = (m * n + 1) // 2
+        second = _philox_at(seed, drawn + pairs)
+        for i in range(0, m, rows):
+            k = min(rows, m - i)
+            yield _box_muller(first, k * n, second).reshape(k, n) @ cinv
+        first, drawn = second, drawn + 2 * pairs
 
 
 def sample_gmrf(precision: LineGraphLaplacian, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` vectors x ~ N(0, L^{-1}) as rows of a (count, N) array."""
-    chunks = gmrf_chunks(precision, count, seed)
+    pieces = gmrf_chunks(precision, count, seed)
     out = np.empty((count, precision.size))  # before any draw, so a count too big for memory fails at once
-    for start, x in zip(range(0, count, SAMPLE_CHUNK_ROWS), chunks):
+    start = 0
+    for x in pieces:
         out[start : start + len(x)] = x
+        start += len(x)
     return out
 
 
+def _draw_gain(cinv: np.ndarray) -> float:
+    """max_j sum_i |C^{-1}_ij|: the largest |(g C^{-1})_j| over rows g with every |g_i| <= 1."""
+    return float(np.abs(cinv).sum(axis=0).max())
+
+
+def _check_draw_bound(bound: float) -> None:
+    """Raise, before any draw, unless twice ``bound`` is finite; the factor 2 covers roundoff."""
+    if not math.isfinite(2.0 * bound):
+        raise InvalidParameterError("samples at these graph weights may overflow float64")
+
+
 def sample_covariance(precision: LineGraphLaplacian, count: int, seed: int) -> SampleCovariance:
-    """Second-moment matrix of ``count`` GMRF draws, summed chunk by chunk."""
+    """Second-moment matrix of ``count`` GMRF draws, summed piece by piece."""
+    pieces = gmrf_chunks(precision, count, seed)
+    largest = _BOX_MULLER_MAX * _draw_gain(_inverse_cholesky(precision))
+    _check_draw_bound(count * largest * largest)  # an entry sums count products of two draws
     acc = np.zeros((precision.size, precision.size))
-    for x in gmrf_chunks(precision, count, seed):
+    for x in pieces:
         acc += x.T @ x
     return SampleCovariance(acc / count)
 
@@ -164,6 +212,8 @@ def sample_gmrf_blocks(
         raise DimensionMismatchError("row and column graphs must share N")
     n = row_precision.size
     cinv_col = _inverse_cholesky(col_precision)
+    # |X| <= |C_col^{-T}| |Z C_row^{-1}| entrywise
+    _check_draw_bound(_BOX_MULLER_MAX * _draw_gain(_inverse_cholesky(row_precision)) * _draw_gain(cinv_col))
     x = sample_gmrf(row_precision, count * n, seed).reshape(count, n, n)
     for chunk in block_chunks(x):
         chunk[...] = cinv_col.T @ chunk
@@ -273,9 +323,16 @@ def quantize_roundtrip_distortion(
     whole stack would.  Each chunk adds its squared residuals c/step - q to
     a running sum and its index counts to one sorted table: the counts, and
     so the entropy, are those of the whole stack, and only the order in
-    which the MSE is summed depends on the chunking.  A tie leaves
-    |c/step - q| = 1/2 whichever way it rounds, so the tie rule moves only
-    the indices.
+    which the MSE is summed depends on the chunking.
+
+    Each chunk is rounded once, by ``rint``, and the residual is formed in
+    place.  A tie leaves |c/step - q| = 1/2 whichever way it rounds, so the
+    tie rule moves only the indices: just the entries whose residual is
+    +-1/2 go back through ``round_half_away``, at q + residual, which is
+    exactly c/step.  A finite coefficient leaves a residual of at most 1/2,
+    so a chunk's squared-error sum is finite unless one of its coefficients
+    is not; only then are its samples scanned, to tell a non-finite sample
+    from an overflowing product.
     """
     if not 0 < step < math.inf:
         raise InvalidParameterError(f"step must be positive and finite, got {step}")
@@ -283,7 +340,8 @@ def quantize_roundtrip_distortion(
     check_block_shape(blocks, row_t, col_t)
     if blocks.size == 0:
         raise InvalidParameterError("no blocks to quantize")
-    sq_err, values, counts = 0.0, np.empty(0), np.empty(0, dtype=np.int64)
+    # float64 counts stay exact below 2^53, more indices than any stack holds
+    sq_err, values, counts = 0.0, np.empty(0), np.empty(0)
     # the warnings of an overflowing product end in a typed error below
     with np.errstate(over="ignore", invalid="ignore"):
         for t in (row_t, col_t):  # Parseval needs an orthonormal basis; a NaN one fails too
@@ -291,21 +349,21 @@ def quantize_roundtrip_distortion(
                 raise InvalidParameterError("quantizer needs orthonormal bases: max|U^T U - I| > 1e-10")
         for chunk in block_chunks(blocks.reshape(-1, col_t.size, col_t.size)):
             x = np.asarray(chunk, dtype=float)
-            if not np.isfinite(x).all():
-                raise InvalidParameterError("blocks must be finite")
             c = apply_separable(x, row_t, col_t)
             c /= step
-            q = round_half_away(c)
-            v, cnt = np.unique(q, return_counts=True)  # q holds integers; -0.0 counts as 0
-            # both tables are sorted and unique, so each count lands on one slot
-            merged = np.union1d(values, v)
-            total = np.zeros(merged.shape, dtype=np.int64)
-            total[np.searchsorted(merged, values)] += counts
-            total[np.searchsorted(merged, v)] += cnt
-            values, counts = merged, total
+            q = np.rint(c)
             c -= q
+            if c.max() == 0.5 or c.min() == -0.5:  # |c| <= 1/2: two reductions find a tie, no mask
+                tie = np.abs(c) == 0.5
+                q[tie] = round_half_away(q[tie] + c[tie])
             # einsum sums in its own loop: a BLAS dot would wake the BLAS thread pool
-            sq_err += float(np.einsum("ijk,ijk->", c, c))
+            chunk_err = float(np.einsum("ijk,ijk->", c, c))
+            if not math.isfinite(chunk_err) and not np.isfinite(x).all():
+                raise InvalidParameterError("blocks must be finite")
+            sq_err += chunk_err
+            v, cnt = np.unique(q, return_counts=True)  # q holds integers; -0.0 counts as 0
+            values, slot = np.unique(np.concatenate((values, v)), return_inverse=True)
+            counts = np.bincount(slot, np.concatenate((counts, cnt)))
         mse = step**2 * sq_err / blocks.size
     if not math.isfinite(mse):  # coefficients overflowed float64 at this step
         raise InvalidParameterError(f"quantization error is not finite at step {step}")

@@ -43,7 +43,10 @@ class SampleCovariance:
         scale = max(1.0, float(np.abs(m).max()))
         if np.abs(m - m.T).max() > 1e-12 * scale:
             raise DegenerateInputError("covariance is not symmetric")
-        tr = float(np.trace(m))
+        with np.errstate(over="ignore"):
+            tr = float(np.trace(m))
+        if not math.isfinite(tr):  # finite entries whose sum, the total variance, overflows
+            raise DegenerateInputError("covariance trace is not finite")
         if np.linalg.eigvalsh(m).min() < -1e-9 * max(tr, 0.0) / len(m):
             raise DegenerateInputError("covariance is not positive semidefinite")
         object.__setattr__(self, "matrix", m)

@@ -327,6 +327,15 @@ def test_sample_memory_does_not_grow_with_count(child_peaks):
     assert big < small + 4
 
 
+def test_sample_memory_does_not_grow_with_n(child_peaks):
+    # a chunk of 2^15 rows is drawn in pieces of at most 2^18 values, so N = 64 peaks near N = 8;
+    # whole chunks of 2^21 values peaked about 49 MiB higher
+    script = "import sys\nfrom gbst import cli\ncli.main(sys.argv[1:])\nprint(peak_mib())"
+    argv = ["sample", "--w", "1", "--v", "1", "--count", "100000", "--out", os.devnull, "--n"]
+    (narrow,), (wide,) = (child_peaks(script, *argv, n) for n in ("8", "64"))
+    assert wide < narrow + 8
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["basis", "--w", "1", "--n", "8"])  # missing --v

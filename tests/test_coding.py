@@ -222,6 +222,20 @@ def test_sample_gmrf_blocks_pins_philox_stream(monkeypatch):
         assert np.abs(c_col.T @ x @ c_row - z).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n, count, chunk", [(64, 9001, 5000), (33, 8001, 8001), (9, 40001, 1 << 15)])
+def test_sample_gmrf_pieces_keep_the_bits_of_whole_chunks(monkeypatch, n, count, chunk):
+    # above N = 8 a chunk is drawn in pieces of at most 2^18 values (4096 rows at N = 64,
+    # 7942 at 33, 29126 at 9), the last value of an odd total dropped; the rows keep the
+    # bits of one Box-Muller call and one product per chunk
+    monkeypatch.setattr(coding, "SAMPLE_CHUNK_ROWS", chunk)
+    lap = build_ggl(GraphParams(1.3, 0.7, L2), n)
+    cinv = np.linalg.inv(np.linalg.cholesky(dense_form(lap)))
+    sizes = [min(chunk, count - start) * n for start in range(0, count, chunk)]
+    want = np.concatenate([g.reshape(-1, n) @ cinv for g in _philox_draws(5, sizes)])
+    assert np.array_equal(sample_gmrf(lap, count, 5).view(np.uint64), want.view(np.uint64))
+    assert max(x.size for x in coding.gmrf_chunks(lap, count, 5)) <= 2**18
+
+
 @pytest.mark.parametrize("n", [4, 64])
 def test_sample_gmrf_blocks_huge_count_is_typed(n):
     # count * n rows of n values pass the bound of gmrf_chunks, before any draw
@@ -451,6 +465,21 @@ def test_quantize_matches_per_block_loop_across_chunks(n):
         want_mse, want_entropy = mse_and_entropy(results[:m])
         assert abs(mse - want_mse) <= 1e-12 * want_mse
         assert entropy == want_entropy
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_quantize_merges_disjoint_interleaved_tables(n):
+    # chunk k holds samples of magnitude [1, 10) 10^k and sign (-1)^k, so each chunk's index
+    # table is disjoint from the merged one and lands on alternate ends of it
+    k = CHUNK_VALUES // n**2
+    rng = np.random.default_rng(n)
+    scale = np.repeat((-10.0) ** np.arange(4), k)[:, None, None]
+    blocks = scale * rng.uniform(1, 10, (4 * k, n, n))
+    t = TransformMatrix(np.eye(n), np.arange(n, dtype=float))
+    mse, entropy = quantize_roundtrip_distortion(blocks, t, t, np.pi)
+    want_mse, want_entropy = per_block_quantize(blocks, t, t, np.pi)
+    assert entropy == want_entropy
+    assert abs(mse - want_mse) <= 1e-12 * want_mse
 
 
 @settings(max_examples=25, deadline=None)

@@ -287,12 +287,13 @@ def test_objective_matches_dense_form(w, v, n, family, seed):
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=200, deadline=None)
 @given(
-    w=log_uniform(-300, 308),
-    v=log_uniform(-300, 308),
+    w=log_uniform(-308, 308),
+    v=log_uniform(-308, 308),
     n=st.integers(2, 64),
     family=st.sampled_from([L1, L2]),
 )
 @example(w=1e300, v=1e300, n=8, family=L1)
+@example(w=1e-292, v=1e-308, n=3, family=L2)  # C^{-1} ~ 1e154: the blocks and Tr L^{-1} overflow
 @example(w=1e300, v=1e-300, n=64, family=L2)
 @example(w=1e-300, v=1e300, n=64, family=L1)
 @example(w=1e308, v=0.0, n=4, family=L1)  # 2w overflows in the dense matrix

@@ -45,5 +45,6 @@ def test_fit_pass_plain_and_traced(perfbench):
         assert all(set(res) == RESULT_KEYS for res in results)
     assert traced == plain
     names = {span[0] for span in tracer.spans}
-    assert {"residual_covariances", "solve_ml", "alpha_sweep", "derive_gbt", "integerize"} <= names
+    assert {"residual_covariances", "solve_ml", "alpha_sweep", "evaluate_metrics", "derive_gbt", "integerize",
+            "quantize_roundtrip_distortion"} <= names
     assert all(span[5] == {"iterations": 0} for span in tracer.spans if span[0] == "solve_ml")
