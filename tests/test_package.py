@@ -1,7 +1,9 @@
-"""The package loads lazily, and only the gbst command sets BLAS thread counts.
+"""The package loads lazily, only the gbst command sets BLAS thread counts,
+and a command's process ends with its output whole.
 
 Every check runs in a fresh interpreter, since what a process has imported
-and which variables it set are per-process state.
+and which variables it set are per-process state; the launchers' output is
+compared with an in-process ``cli.main`` call.
 """
 
 import json
@@ -10,7 +12,12 @@ import subprocess
 import sys
 import tomllib
 
+import numpy as np
+import pytest
+
 import gbst
+import gbst.cli as cli
+from gbst.dataset import make_dataset, write_gbsr
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gbst.__file__)))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -27,11 +34,16 @@ PUBLIC = [
 REFINE = ["refine", "--w", "2", "--v", "1.6", "--n", "8", "--json"]
 
 
-def python(*args, env=None):
-    """Run the interpreter on ``args`` with src/ on the path and no thread variable preset."""
-    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+def python(*args, env=None, stdout=subprocess.PIPE):
+    """Run the interpreter on ``args`` with src/ on the path and no thread variable preset.
+
+    PYTHONUNBUFFERED is dropped as well, so the child's stdout is block-buffered
+    as a user's is, and output still in its buffer at exit is tested too.
+    """
+    base = {k: v for k, v in os.environ.items() if k not in (*THREAD_VARS, "PYTHONUNBUFFERED")}
     base["PYTHONPATH"] = SRC
-    return subprocess.run([sys.executable, *args], capture_output=True, env={**base, **(env or {})})
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          env={**base, **(env or {})})
 
 
 def python_json(code, env=None):
@@ -84,8 +96,10 @@ def test_attribute_is_the_submodules_current_binding():
 
 
 def test_command_defaults_to_one_blas_thread():
+    # the command ends its process with os._exit; as sys.exit it returns here to print the variables
     code = (
         "import json, os, runpy, sys\n"
+        "os._exit = sys.exit\n"
         f"sys.argv = ['gbst', *{REFINE!r}]\n"
         "try:\n"
         "    runpy.run_module('gbst.cli', run_name='__main__', alter_sys=True)\n"
@@ -115,7 +129,27 @@ def test_library_and_in_process_main_leave_the_environment_alone():
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, True]
 
 
-def test_console_script_and_python_m_gbst_are_the_cli():
+def in_process(argv, capsys):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process, as bytes."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out.encode(), out.err.encode()
+
+
+def take(path):
+    """The bytes of the file at ``path``, which is removed, or None if there is none."""
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as f:
+        data = f.read()
+    os.remove(path)
+    return data
+
+
+def test_console_script_and_python_m_gbst_are_the_cli(tmp_path, capsys, monkeypatch):
     with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as f:
         script = tomllib.load(f)["project"]["scripts"]["gbst"]
     # what the installed wrapper does: load the entry point and exit with its result
@@ -123,10 +157,30 @@ def test_console_script_and_python_m_gbst_are_the_cli():
         "import sys; from importlib.metadata import EntryPoint;"
         f"sys.exit(EntryPoint('gbst', {script!r}, 'console_scripts').load()())"
     )
-    for argv, rc in ((REFINE, 0), (["refine", "--w", "2"], 2), (["verify", "--n", "1"], 3)):
-        module = python("-m", "gbst.cli", *argv)
-        assert module.returncode == rc
-        for other in (python("-m", "gbst", *argv), python("-c", wrapper, *argv)):
-            assert (other.returncode, other.stdout, other.stderr) == (
-                module.returncode, module.stdout, module.stderr,
-            )
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines at the width; children inherit it
+    data, out = str(tmp_path / "data.gbsr"), str(tmp_path / "out.txt")
+    write_gbsr(data, make_dataset(np.rint(np.random.default_rng(3).standard_normal((64, 8, 8)) * 30)))
+    # 40000 rows cross a draw chunk; the bytes must all be out before the process ends
+    sample = ["sample", "--w", "1", "--v", "1.2", "--n", "8", "--count", "40000", "--seed", "5"]
+    calls = (
+        (REFINE, 0), (["refine", "--w", "2"], 2), (["verify", "--n", "1"], 3),
+        (sample, 0), ([*sample, "--out", out], 0), (["learn", "--data", data, "--json"], 0),
+    )
+    for argv, rc in calls:
+        want = (*in_process(argv, capsys), take(out))
+        assert want[0] == rc
+        for launcher in (("-m", "gbst.cli"), ("-m", "gbst"), ("-c", wrapper)):
+            proc = python(*launcher, *argv)
+            assert (proc.returncode, proc.stdout, proc.stderr, take(out)) == want, (launcher, argv)
+
+
+@pytest.mark.parametrize("argv", [["verify"], REFINE], ids=["verify", "refine"])
+def test_closed_stdout_is_a_data_error(argv):
+    """A reader gone before the command writes: exit 3 and one error line, as a streamed sample does."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = python("-m", "gbst.cli", *argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (3, b"error: [Errno 32] Broken pipe\n")
