@@ -23,7 +23,7 @@ from .dataset import block_chunks
 from .estimation import SampleCovariance
 from .graph import (
     GraphFamily, GraphParams, LineGraphLaplacian, build_ggl, check_positive_definite, dense_form,
-    frozen_view, matrix_text,
+    frozen_view, matrix_text, real_array,
 )
 from .spectral import TransformMatrix, apply_separable, check_block_shape, derive_gbt
 
@@ -37,7 +37,7 @@ _BOX_MULLER_MAX = math.sqrt(106.0 * math.log(2.0))
 SAMPLE_MAX_VALUES = 1 << 40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntTransformMatrix:
     """Codec-style integer table: row k holds basis vector k scaled by 64*sqrt(N)."""
 
@@ -336,7 +336,7 @@ def quantize_roundtrip_distortion(
     """
     if not 0 < step < math.inf:
         raise InvalidParameterError(f"step must be positive and finite, got {step}")
-    blocks = np.asanyarray(blocks)  # a memmap stays one, so the walk can release its pages
+    blocks = real_array(blocks)  # a memmap stays one, so the walk can release its pages
     check_block_shape(blocks, row_t, col_t)
     if blocks.size == 0:
         raise InvalidParameterError("no blocks to quantize")

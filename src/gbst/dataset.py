@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetFormatError, EmptyDatasetError, InconsistentBlockSizeError
-from .graph import frozen_view
+from .graph import frozen_view, real_array
 
 MAGIC = b"GBSR"
 VERSION = 1
@@ -44,7 +44,7 @@ CHUNK_VALUES = 1 << 17
 _RELEASE_BYTES = 4 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualDataset:
     """M residual blocks of size N x N, held as a read-only view."""
 
@@ -68,7 +68,7 @@ class ResidualDataset:
 
 
 def make_dataset(blocks: np.ndarray) -> ResidualDataset:
-    return ResidualDataset(np.asarray(blocks, dtype=float))
+    return ResidualDataset(np.asarray(real_array(blocks), dtype=float))
 
 
 def block_chunks(blocks: np.ndarray) -> Iterator[np.ndarray]:

@@ -28,7 +28,7 @@ from .errors import (
 from .graph import GraphFamily, GraphParams, build_ggl, check_positive_definite, frozen_view
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleCovariance:
     """Symmetric PSD N x N second-moment matrix of rows or columns, held as a read-only view."""
 

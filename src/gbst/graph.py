@@ -108,9 +108,21 @@ def check_size(n: int) -> None:
         raise InvalidDimensionError(f"size must be an integer in [{N_MIN}, {N_MAX}], got {n}")
 
 
+def real_array(a) -> np.ndarray:
+    """``np.asanyarray(a)``; InvalidParameterError unless its dtype is bool, integer or float.
+
+    A float conversion would cut a complex value to its real part and fail on
+    an object or str one only later, so the dtype is checked before it.
+    """
+    a = np.asanyarray(a)
+    if a.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"expected bool, integer or float values, got dtype {a.dtype}")
+    return a
+
+
 def frozen_view(a) -> np.ndarray:
-    """A read-only view of ``np.asanyarray(a)``; a memmap stays one, a caller's array keeps its flags."""
-    view = np.asanyarray(a).view()
+    """A read-only view of ``real_array(a)``; a memmap stays one, a caller's array keeps its flags."""
+    view = real_array(a).view()
     view.setflags(write=False)
     return view
 
@@ -145,7 +157,7 @@ def matrix_text(m: np.ndarray) -> str:
 
     Each value of ``m`` as float64 reads as ``format(x, ".17g")``, byte for byte.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    m = np.atleast_2d(np.asarray(real_array(m), dtype=np.float64))
     if m.ndim != 2:
         raise DimensionMismatchError(f"text form needs a matrix, got shape {m.shape}")
     if m.size == 0:

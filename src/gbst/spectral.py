@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DecompositionError, DimensionMismatchError
-from .graph import LineGraphLaplacian, dense_form, frozen_view, matrix_text
+from .graph import LineGraphLaplacian, dense_form, frozen_view, matrix_text, real_array
 
 SIGN_EPS = 1e-12
 EIGENVALUE_GAP_MIN = 1e-12
@@ -25,7 +25,7 @@ EIGENVALUE_GAP_MIN = 1e-12
 GBT_CACHE_SIZE = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformMatrix:
     """Orthonormal basis: column k of ``basis`` is the k-th basis vector.
 
@@ -100,8 +100,8 @@ def check_block_shape(blocks: np.ndarray, row_t: TransformMatrix, col_t: Transfo
 
 
 def _check_blocks(blocks: np.ndarray, row_t: TransformMatrix, col_t: TransformMatrix) -> np.ndarray:
-    """``blocks`` as float64, checked by ``check_block_shape``."""
-    blocks = np.asarray(blocks, dtype=float)
+    """``blocks`` as float64, checked by ``real_array`` and ``check_block_shape``."""
+    blocks = np.asarray(real_array(blocks), dtype=float)
     check_block_shape(blocks, row_t, col_t)
     return blocks
 

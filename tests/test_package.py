@@ -63,6 +63,20 @@ def test_bare_import_loads_no_numpy():
     assert "gbst.coding" not in graph and "gbst.estimation" not in graph
 
 
+def test_short_command_loads_neither_numpy_random_nor_the_text_kernel():
+    # numpy.random costs 10-14 ms of a fresh process and gbst._text 3-4 ms; coding's
+    # np.random.Generator annotation stays unevaluated only under `from __future__ import annotations`
+    code = (
+        "import json, sys, gbst.cli; code = gbst.cli.main(['refine', '--w', '1', '--v', '2']);"
+        "print(json.dumps([code, sorted(sys.modules)]))"
+    )
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and "numpy" in loaded and "gbst.coding" in loaded
+    assert "numpy.random" not in loaded and "gbst._text" not in loaded
+
+
 def test_public_names_resolve():
     code = (
         "import json, gbst\n"

@@ -1,12 +1,13 @@
-"""The array-valued types hold a read-only view of their own and derive their sizes from it."""
+"""The array-valued types hold a read-only view of their own, derive their sizes from it,
+compare by identity, and admit only real numbers."""
 
 import math
 
 import numpy as np
 import pytest
 
-from gbst.coding import IntTransformMatrix
-from gbst.dataset import ResidualDataset
+from gbst.coding import IntTransformMatrix, quantize_roundtrip_distortion
+from gbst.dataset import ResidualDataset, make_dataset
 from gbst.errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -15,7 +16,8 @@ from gbst.errors import (
     InvalidParameterError,
 )
 from gbst.estimation import SampleCovariance
-from gbst.spectral import TransformMatrix
+from gbst.graph import matrix_text
+from gbst.spectral import TransformMatrix, apply_separable, inverse_separable
 
 
 def _values(n):
@@ -56,6 +58,48 @@ def test_value_from_nested_lists_equals_value_from_arrays(name, n):
         held, want = getattr(from_lists, field), getattr(from_arrays, field)
         assert held.dtype == want.dtype and np.array_equal(held, want)
         assert not held.flags.writeable
+
+
+@pytest.mark.parametrize("name", list(_values(2)))
+def test_value_compares_and_hashes_by_identity(name):
+    make, arrays, _, _ = _values(4)[name]
+    value, twin = make(*arrays), make(*arrays)
+    assert value == value
+    assert value != twin
+    assert hash(value) == hash(value) and len({value, twin}) == 2
+    assert type(value).__eq__ is object.__eq__
+
+
+_EYE = TransformMatrix(np.eye(2), np.arange(2.0))
+# entry point -> a call of it on one (2, 2) matrix of samples, or of a value's entries
+REAL_ONLY = {
+    "make_dataset": lambda a: make_dataset([a]),
+    "ResidualDataset": lambda a: ResidualDataset([a]),
+    "SampleCovariance": SampleCovariance,
+    "TransformMatrix-basis": lambda a: TransformMatrix(a, np.arange(2.0)),
+    "TransformMatrix-eigenvalues": lambda a: TransformMatrix(np.eye(2), a[0]),
+    "IntTransformMatrix": IntTransformMatrix,
+    "apply_separable": lambda a: apply_separable(a, _EYE, _EYE),
+    "inverse_separable": lambda a: inverse_separable(a, _EYE, _EYE),
+    "quantize_roundtrip_distortion": lambda a: quantize_roundtrip_distortion([a], _EYE, _EYE, 1.0),
+    "matrix_text": matrix_text,
+}
+NOT_REAL = {
+    "complex": np.array([[1 + 2j, 3], [3, 1]]),
+    "complex-lists": [[1 + 2j, 3], [3, 1]],
+    "object": np.eye(2, dtype=np.int64).astype(object),
+    "str": np.eye(2).astype(str),
+    "str-lists": [["1", "0"], ["0", "1"]],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", list(NOT_REAL))
+@pytest.mark.parametrize("entry", list(REAL_ONLY))
+def test_entry_points_admit_only_real_numbers(entry, kind):
+    a = NOT_REAL[kind]
+    with pytest.raises(InvalidParameterError, match=f"got dtype {np.asarray(a).dtype}$"):
+        REAL_ONLY[entry](a)
 
 
 def test_int_table_scale_shift_follows_its_size():
