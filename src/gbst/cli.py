@@ -196,6 +196,7 @@ def cmd_sample(args, parser) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gbst")
     sub = parser.add_subparsers(dest="command", required=True)
+    families = [f.value for f in GraphFamily]
 
     def command(name, run, summary):
         p = sub.add_parser(name, help=summary)
@@ -203,22 +204,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run, parser=p)
         return p
 
+    def graph_options(p, required=True):  # the options that _laplacian reads
+        p.add_argument("--family", choices=families, default="L1")
+        p.add_argument("--w", type=float, required=required)
+        p.add_argument("--v", type=float, required=required)
+        p.add_argument("--n", type=int, required=True)
+
     p = command("verify", cmd_verify, "check all graph/trig correspondences")
     p.add_argument("--kind", choices=[k.value for k in TrigTransformKind])
     p.add_argument("--n", type=int)
 
     p = command("basis", cmd_basis, "dump a transform basis")
-    p.add_argument("--family", choices=["L1", "L2"], default="L1")
-    p.add_argument("--w", type=float, required=True)
-    p.add_argument("--v", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
+    graph_options(p)
     p.add_argument("--out")
     p.add_argument("--plot-data", dest="plot_data")
 
     p = command("learn", cmd_learn, "fit graph parameters to a GBSR dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--family", choices=["L1", "L2"], default="L1")
-    p.add_argument("--direction", choices=["row", "col"], default="row")
+    p.add_argument("--family", choices=families, default="L1")
+    p.add_argument("--direction", choices=estimation.DIRECTIONS, default="row")
     p.add_argument("--json", action="store_true")
 
     p = command("refine", cmd_refine, "normalize and round a parameter pair")
@@ -229,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sweep", cmd_sweep, "coding metrics across the alpha grid")
     p.add_argument("--n", type=int, help="block size; defaults to the --data file's")
-    p.add_argument("--family", choices=["L1", "L2"], default="L1")
+    p.add_argument("--family", choices=families, default="L1")
     p.add_argument("--alphas", required=True, help="start:step:end, step a multiple of 0.25")
     p.add_argument("--model-v", dest="model_v", type=float)
     p.add_argument("--data")
@@ -237,17 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("gen-matrix", cmd_gen_matrix, "8-bit integer transform table")
     p.add_argument("--kind", choices=[k.value for k in TrigTransformKind])
-    p.add_argument("--family", choices=["L1", "L2"], default="L1")
-    p.add_argument("--w", type=float)
-    p.add_argument("--v", type=float)
-    p.add_argument("--n", type=int, required=True)
+    graph_options(p, required=False)
     p.add_argument("--out")
 
     p = command("sample", cmd_sample, "draw reproducible GMRF vectors")
-    p.add_argument("--family", choices=["L1", "L2"], default="L1")
-    p.add_argument("--w", type=float, required=True)
-    p.add_argument("--v", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
+    graph_options(p)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

@@ -334,8 +334,8 @@ def quantize_roundtrip_distortion(
     is not; only then are its samples scanned, to tell a non-finite sample
     from an overflowing product.
     """
-    if not 0 < step < math.inf:
-        raise InvalidParameterError(f"step must be positive and finite, got {step}")
+    if not (0 < step < math.inf and math.isfinite(float(step) * float(step))):  # step**2 scales the MSE
+        raise InvalidParameterError(f"step must be positive, with a finite square, got {step}")
     blocks = real_array(blocks)  # a memmap stays one, so the walk can release its pages
     check_block_shape(blocks, row_t, col_t)
     if blocks.size == 0:

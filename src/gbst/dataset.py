@@ -31,10 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetFormatError, EmptyDatasetError, InconsistentBlockSizeError
-from .graph import frozen_view, real_array
+from .graph import N_MIN, frozen_view, real_array
 
 MAGIC = b"GBSR"
 VERSION = 1
+SAMPLE_DTYPE = np.dtype("<i2")
 _HEADER = struct.Struct("<4sBHI")
 # A chunk walk yields blocks of about CHUNK_VALUES values: 2^17 float64
 # values fill 1 MiB, inside one core's L2 cache.
@@ -116,12 +117,12 @@ def write_gbsr(path, dataset: ResidualDataset) -> None:
             raise DatasetFormatError("residual samples must be finite")
         lo, hi = min(lo, chunk.min()), max(hi, chunk.max())
     # rint is monotone: the rounded extremes are the extremes of the rounded samples
-    if np.rint(lo) < -32768 or np.rint(hi) > 32767:
+    if np.rint(lo) < np.iinfo(SAMPLE_DTYPE).min or np.rint(hi) > np.iinfo(SAMPLE_DTYPE).max:
         raise DatasetFormatError("residual samples do not fit in i16")
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, dataset.block_size, dataset.block_count))
         for chunk in block_chunks(dataset.blocks):
-            f.write((chunk if integer else np.rint(chunk)).astype("<i2", order="C"))
+            f.write((chunk if integer else np.rint(chunk)).astype(SAMPLE_DTYPE, order="C"))
 
 
 def read_gbsr(path) -> ResidualDataset:
@@ -135,10 +136,10 @@ def read_gbsr(path) -> ResidualDataset:
         raise DatasetFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise DatasetFormatError(f"unsupported format version {version}")
-    if n < 2 or m < 1:
+    if n < N_MIN or m < 1:
         raise DatasetFormatError(f"inadmissible header: N={n}, M={m}")
-    expected = _HEADER.size + 2 * m * n * n
+    expected = _HEADER.size + SAMPLE_DTYPE.itemsize * m * n * n
     if size != expected:
         raise DatasetFormatError(f"expected {expected} bytes, file has {size}")
-    samples = np.memmap(path, dtype="<i2", mode="r", offset=_HEADER.size, shape=(m, n, n))
+    samples = np.memmap(path, dtype=SAMPLE_DTYPE, mode="r", offset=_HEADER.size, shape=(m, n, n))
     return ResidualDataset(blocks=samples)

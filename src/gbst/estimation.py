@@ -84,13 +84,12 @@ class RefinedParam:
     size: int
 
 
-# Integer blocks: a chunk of block_chunks holds at most max(CHUNK_VALUES, N^2)
-# values, so its Gram sums at most max(CHUNK_VALUES, N) terms per entry.  Each
-# term is an i16 product, |x|^2 <= 2^30, so while CHUNK_VALUES <= 2^23 every
-# partial sum, in any order, stays below 2^53: the float64 Gram is exact
-# whichever kernel forms it.  The int64 total has room for fewer than
-# INT64_ROWS rows (2^33 * 2^30 = 2^63).
-INT64_ROWS = 1 << 33
+# Integer blocks of at most 16 bits: a chunk of block_chunks holds at most
+# max(CHUNK_VALUES, N^2) values, so its Gram sums at most max(CHUNK_VALUES, N)
+# terms per entry.  Each term is a product of two such integers, below 2^32, so
+# while CHUNK_VALUES <= 2^21 every partial sum, in any order, stays below 2^53:
+# the float64 Gram is exact whichever kernel forms it.  The int64 total has room
+# for fewer than 2^63 // max(min^2, max^2) rows of the dtype: 2^33 for i16.
 DIRECTIONS = ("row", "col")
 # Up to this N the Gram is two GEMMs, above it one syrk.  One moment pass over
 # 2^26 i16 values (x86_64, one thread of OpenBLAS 0.3.31, median of 5), syrk ->
@@ -147,8 +146,10 @@ def residual_covariances(
             raise InvalidParameterError(f"direction must be one of {DIRECTIONS}, got {d!r}")
     m, n, _ = blocks.shape
     exact = np.issubdtype(blocks.dtype, np.integer) and blocks.dtype.itemsize <= 2
-    if exact and m * n >= INT64_ROWS:
-        raise DatasetTooLargeError(f"{m * n} rows overflow the exact int64 moment (limit {INT64_ROWS})")
+    if exact:
+        limit = 2**63 // max(np.iinfo(blocks.dtype).min ** 2, np.iinfo(blocks.dtype).max ** 2)
+        if m * n >= limit:
+            raise DatasetTooLargeError(f"{m * n} rows overflow the exact int64 moment (limit {limit})")
     row_item = np.dtype((np.void, n * blocks.dtype.itemsize))
     flat = stage = np.empty(0)
     totals = {d: np.zeros((n, n), dtype=np.int64 if exact else float) for d in directions}
@@ -234,6 +235,8 @@ def solve_ml(cov: SampleCovariance, family: GraphFamily) -> MLSolution:
     if tr_ps <= 0:
         raise DegenerateInputError("adjacent samples never differ (Tr(PS) = 0); the fit is unbounded")
     w, v = (n - 1) / tr_ps, 1.0 / s_kk
+    if not (math.isfinite(w) and math.isfinite(v)):  # a moment so small that its inverse overflows
+        raise DegenerateInputError(f"fitted weights overflow float64: w* = {w}, v* = {v}")
     return MLSolution(
         w_star=w,
         v_star=v,

@@ -160,8 +160,6 @@ def matrix_text(m: np.ndarray) -> str:
     m = np.atleast_2d(np.asarray(real_array(m), dtype=np.float64))
     if m.ndim != 2:
         raise DimensionMismatchError(f"text form needs a matrix, got shape {m.shape}")
-    if m.size == 0:
-        return "\n" * max(len(m), 1)
     return "".join(text_blocks([m]))
 
 
@@ -178,7 +176,7 @@ def text_blocks(chunks):
 
     lead = 1
     for chunk in chunks:
-        step = max(1, _TEXT_BLOCK // chunk.shape[1])
+        step = max(1, _TEXT_BLOCK // max(1, chunk.shape[1]))
         for i in range(0, len(chunk), step):
             yield block_text(chunk[i : i + step])[lead:]
             lead = 0

@@ -311,6 +311,14 @@ def test_sample_error_leaves_no_file(tmp_path, capsys, argv, out):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sample_precision_that_cholesky_rejects_exits_3(tmp_path, capsys):
+    # w + v != w, so the float64 precision is not the singular w P, yet LAPACK's Cholesky fails on it
+    argv = ["sample", "--w", "1", "--v", "1.2e-16", "--n", "2", "--count", "3"]
+    assert run(capsys, *argv) == (3, "", "error: Matrix is not positive definite\n")
+    assert run(capsys, *argv, "--out", str(tmp_path / "x.txt")) == (3, "", "error: Matrix is not positive definite\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sample_bound_counts_values(capsys, monkeypatch):
     monkeypatch.setattr(coding, "SAMPLE_MAX_VALUES", 40)
     argv = ["sample", "--w", "1", "--v", "1", "--n", "4", "--count"]

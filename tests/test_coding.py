@@ -245,6 +245,12 @@ def test_sample_gmrf_blocks_huge_count_is_typed(n):
         sample_gmrf_blocks(lap, lap, 2**62, seed=0)
 
 
+def test_sample_gmrf_blocks_rejects_graphs_of_different_n():
+    row, col = (build_ggl(GraphParams(1, 1, L1), n) for n in (4, 8))
+    with pytest.raises(DimensionMismatchError, match="^row and column graphs must share N$"):
+        sample_gmrf_blocks(row, col, 3, seed=0)
+
+
 _BLOCKS_RSS_CHILD = """
 from gbst import GraphParams, build_ggl, sample_gmrf_blocks
 
@@ -574,11 +580,28 @@ def test_quantize_invalid_step():
         quantize_roundtrip_distortion(np.zeros((1, 4, 4)), t, t, 0.0)
 
 
-@pytest.mark.parametrize("step", [float("nan"), float("inf")])
-def test_quantize_non_finite_step_rejected(step):
+# the largest step whose square (it scales the MSE) is finite
+_STEP_MAX = math.sqrt(np.finfo(float).max)
+
+
+# nan, inf, and steps whose square overflows, as a float and as a numpy scalar
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), 1e308, np.nextafter(_STEP_MAX, math.inf)])
+def test_quantize_non_finite_step_rejected(step, monkeypatch):
+    def no_pass(blocks):
+        raise AssertionError("the pass started")
+
+    monkeypatch.setattr(coding, "block_chunks", no_pass)
     t = trig_matrix(K.DCT2, 4)
     with pytest.raises(InvalidParameterError, match="finite"):
         quantize_roundtrip_distortion(np.zeros((1, 4, 4)), t, t, step)
+
+
+def test_quantize_largest_step_with_a_finite_square():
+    # every coefficient quantizes to 0, so by Parseval the MSE is the mean square sample
+    t = trig_matrix(K.DCT2, 4)
+    mse, entropy = quantize_roundtrip_distortion(np.ones((1, 4, 4)), t, t, _STEP_MAX)
+    assert mse == pytest.approx(1.0) and entropy == 0.0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -190,12 +191,29 @@ def test_residual_covariances_single_direction():
         residual_covariances(make_dataset(blocks), ("diag",))
 
 
+def _repeated_blocks(dtype, m):
+    """m 2 x 2 blocks of ``dtype`` over the memory of one: a stack of any length, in 8 bytes."""
+    block = np.full((2, 2), 7, dtype)
+    return ResidualDataset(np.lib.stride_tricks.as_strided(block, (m, 2, 2), (0, *block.strides), writeable=False))
+
+
 def test_residual_covariances_int64_headroom(monkeypatch):
-    monkeypatch.setattr(estimation, "INT64_ROWS", 8)
-    with pytest.raises(DatasetTooLargeError):
-        residual_covariances(ResidualDataset(np.zeros((2, 4, 4), dtype=np.int16)))
+    def no_pass(blocks):
+        raise AssertionError("the data pass started")
+
+    monkeypatch.setattr(estimation, "block_chunks", no_pass)
+    # the int64 total holds fewer rows than 2^63 over the dtype's largest square; uint16's
+    # limit lies below the 2^32 rows of 65535s that would wrap it (2^32 * 65535^2 > 2^63)
+    for dtype, limit in [(np.int16, 2**33), (np.uint16, 2_147_549_185)]:
+        m = -(-limit // 2)  # the fewest 2 x 2 blocks that reach the limit
+        message = rf"^{2 * m} rows overflow the exact int64 moment \(limit {limit}\)$"
+        with pytest.raises(DatasetTooLargeError, match=message):
+            residual_covariances(_repeated_blocks(dtype, m))
+        with pytest.raises(AssertionError, match="data pass"):
+            residual_covariances(_repeated_blocks(dtype, m - 1))
     # float data has no int64 total and is unaffected
-    residual_covariances(make_dataset(np.zeros((2, 4, 4))))
+    with pytest.raises(AssertionError, match="data pass"):
+        residual_covariances(_repeated_blocks(np.float64, 2**33))
 
 
 def test_sample_covariance_leaves_caller_array_writeable():
@@ -213,6 +231,19 @@ def test_zero_boundary_moment_fails_fast(family):
     row_cov, _ = residual_covariances(make_dataset(blocks))
     with pytest.raises(DegenerateInputError, match="boundary moment"):
         solve_ml(row_cov, family)
+
+
+@pytest.mark.parametrize("family", [L1, L2])
+def test_overflowing_weight_fails_typed(family):
+    # positive moments whose inverses overflow float64: both weights, then v* alone
+    tiny = residual_covariances(make_dataset(np.random.default_rng(0).standard_normal((30, 8, 8)) * 1e-160))[0]
+    with pytest.raises(DegenerateInputError, match=r"overflow float64: w\* = inf, v\* = inf$"):
+        solve_ml(tiny, family)
+    k = 0 if family is L1 else 7
+    s = np.eye(8)
+    s[k, k] = 1e-310
+    with pytest.raises(DegenerateInputError, match=re.escape(f"w* = {7 / 13}, v* = inf")):
+        solve_ml(SampleCovariance(s), family)
 
 
 def test_constant_rows_fail_fast():

@@ -11,8 +11,9 @@ N = 3, 8 and 64, and one longer than the 4 MiB span in which a pass
 releases a file's pages), ``sweep --data`` with a matching and a
 mismatched ``--n``, large samples whose values lie inside, below and above
 the window 1e-4 <= |x| < 1e16 of fixed-notation text, samples streamed to
-stdout across text-block and draw-chunk boundaries, and usage and data
-errors.
+stdout across text-block and draw-chunk boundaries, a precision that
+Cholesky rejects, usage and data errors, and the help text of gbst and of
+each command.
 
 The tool rewrites ``tests/cli_digests.json``: for each call, the first 16
 hex digits of the sha256 of its exit code, its stdout, its stderr and each
@@ -31,13 +32,13 @@ import io
 import json
 import os
 import platform
-import struct
 import sys
 import tempfile
 
 import numpy as np
 
 from gbst import cli
+from gbst.dataset import _HEADER, MAGIC, VERSION, make_dataset, write_gbsr
 
 SIZES = (2, 3, 8, 26, 64)
 FAMILIES = ("L1", "L2")
@@ -49,14 +50,7 @@ WEIGHTS = (
     ("1", "1e300"), ("1e300", "1e300"), ("1e-300", "1e-300"), ("1e308", "0"),
 )
 KINDS = ("DCT2", "DCT4", "DCT8", "DST4", "DST7")
-
-
-def write_gbsr(path: str, blocks: np.ndarray) -> None:
-    """The GBSR layout: magic, version 1, u16 block size, u32 block count, i16 samples, little endian."""
-    count, n, _ = blocks.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sBHI", b"GBSR", 1, n, count))
-        f.write(blocks.astype("<i2").tobytes())
+COMMANDS = ("verify", "basis", "learn", "refine", "sweep", "gen-matrix", "sample")
 
 
 def make_data(directory: str) -> list[str]:
@@ -70,7 +64,7 @@ def make_data(directory: str) -> list[str]:
             with open(path, "wb") as f:
                 f.write(data)
         else:
-            write_gbsr(path, data)
+            write_gbsr(path, make_dataset(data))
         paths.append(path)
 
     for n in SIZES:
@@ -85,7 +79,7 @@ def make_data(directory: str) -> list[str]:
     add("constant_rows.gbsr", np.full((5, 8, 8), 7.0))
     add("zeros.gbsr", np.zeros((5, 8, 8)))
     add("block100.gbsr", np.ones((1, 100, 100)))
-    add("truncated.gbsr", struct.pack("<4sBHI", b"GBSR", 1, 8, 10) + bytes(16))
+    add("truncated.gbsr", _HEADER.pack(MAGIC, VERSION, 8, 10) + bytes(16))
     add("bad_magic.gbsr", b"XXXX" + bytes(20))
     paths.append(os.path.join(directory, "missing.gbsr"))
     return paths
@@ -133,12 +127,16 @@ def call_matrix(data: list[str]) -> list[list[str]]:
     calls += [
         [], ["bogus"], ["verify", "--bogus"], ["basis", "--w", "1", "--n", "8"],
         ["sample", "--w", "1", "--v", "1", "--n", "4", "--count", "0"],
+        # w + v != w, yet LAPACK's Cholesky rejects the float64 matrix
+        ["sample", "--w", "1", "--v", "1.2e-16", "--n", "2", "--count", "3"],
+        ["sample", "--w", "1", "--v", "1.2e-16", "--n", "2", "--count", "3", "--out", "x.txt"],
         ["sample", "--w", "1", "--v", "1", "--n", "4", "--count", "2", "--seed", "-1"],
         ["sweep", "--n", "8", "--alphas", "0:0.3:1", "--model-v", "1"],
         ["sweep", "--n", "8", "--model-v", "1", "--alphas", "0:1e308:1e308"],
         ["sweep", "--alphas", "0:0.25:1"], ["gen-matrix", "--n", "8"],
         ["gen-matrix", "--w", "1", "--v", "1", "--n", "8", "--out", "missing_dir/t.txt"],
     ]
+    calls += [["--help"]] + [[command, "--help"] for command in COMMANDS]
     return calls
 
 
