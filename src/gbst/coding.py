@@ -19,7 +19,7 @@ from .errors import (
     InvalidParameterError,
     NonPositiveDefiniteError,
 )
-from .dataset import block_chunks
+from .dataset import CHUNK_VALUES, block_chunks
 from .estimation import SampleCovariance
 from .graph import (
     GraphFamily, GraphParams, LineGraphLaplacian, build_ggl, check_positive_definite, dense_form,
@@ -321,9 +321,17 @@ def quantize_roundtrip_distortion(
     pages of a read-only file mapping are released behind the walk.  The
     stacked product gives every chunk's coefficients bit for bit as the
     whole stack would.  Each chunk adds its squared residuals c/step - q to
-    a running sum and its index counts to one sorted table: the counts, and
-    so the entropy, are those of the whole stack, and only the order in
-    which the MSE is summed depends on the chunking.
+    a running sum and its index counts to one table: the counts, and so the
+    entropy, are those of the whole stack, and only the order in which the
+    MSE is summed depends on the chunking.
+
+    The table is dense, int64 counts over the span of the indices seen so
+    far, and a chunk adds one ``np.bincount`` to it.  It holds at most
+    CHUNK_VALUES entries, the values of one chunk: a walk whose span
+    outgrows that, or whose indices leave +-2^53, moves its counts once into
+    a sorted table of the distinct indices, which each later chunk's
+    ``np.unique`` counts merge into.  A chunk whose squared-error sum is not
+    finite is not counted, since the call raises after the walk.
 
     Each chunk is rounded once, by ``rint``, and the residual is formed in
     place.  A tie leaves |c/step - q| = 1/2 whichever way it rounds, so the
@@ -340,8 +348,9 @@ def quantize_roundtrip_distortion(
     check_block_shape(blocks, row_t, col_t)
     if blocks.size == 0:
         raise InvalidParameterError("no blocks to quantize")
-    # float64 counts stay exact below 2^53, more indices than any stack holds
-    sq_err, values, counts = 0.0, np.empty(0), np.empty(0)
+    # table[i] counts index lo + i; values/counts, once set, are the sorted table, whose float64
+    # counts stay exact below 2^53, more indices than any stack holds
+    sq_err, lo, table, values, counts = 0.0, 0, np.zeros(0, np.int64), None, None
     # the warnings of an overflowing product end in a typed error below
     with np.errstate(over="ignore", invalid="ignore"):
         for t in (row_t, col_t):  # Parseval needs an orthonormal basis; a NaN one fails too
@@ -361,12 +370,31 @@ def quantize_roundtrip_distortion(
             if not math.isfinite(chunk_err) and not np.isfinite(x).all():
                 raise InvalidParameterError("blocks must be finite")
             sq_err += chunk_err
+            if not math.isfinite(sq_err):  # q may hold inf or NaN; the call raises below
+                continue
+            if values is None:
+                qlo, qhi = int(q.min()), int(q.max())
+                if table.size:
+                    qlo, qhi = min(qlo, lo), max(qhi, lo + table.size - 1)
+                if qhi - qlo < CHUNK_VALUES and max(-qlo, qhi) <= 2**53:
+                    if qhi - qlo >= table.size:  # the span grew: move the counts into a wider table
+                        grown = np.zeros(qhi - qlo + 1, np.int64)
+                        grown[lo - qlo : lo - qlo + table.size] = table
+                        lo, table = qlo, grown
+                    slot = q.astype(np.intp)  # exact within 2^53; -0.0 counts as 0
+                    slot -= lo
+                    table += np.bincount(slot.ravel(), minlength=table.size)
+                    continue
+                held = np.flatnonzero(table)  # the span outgrew the cap: sorted from here on
+                values, counts = (held + lo).astype(float), table[held].astype(float)
             v, cnt = np.unique(q, return_counts=True)  # q holds integers; -0.0 counts as 0
             values, slot = np.unique(np.concatenate((values, v)), return_inverse=True)
             counts = np.bincount(slot, np.concatenate((counts, cnt)))
         mse = step**2 * sq_err / blocks.size
     if not math.isfinite(mse):  # coefficients overflowed float64 at this step
         raise InvalidParameterError(f"quantization error is not finite at step {step}")
+    if values is None:
+        counts = table[table > 0]
     p = counts / counts.sum()
-    entropy = float(-(p * np.log2(p)).sum())
+    entropy = float(0.0 - (p * np.log2(p)).sum())  # 0.0 - 0.0 is +0.0 where -(0.0) is -0.0
     return mse, entropy

@@ -131,14 +131,15 @@ def residual_covariances(
     whatever M is.  For each direction a chunk of k blocks becomes an
     (N, k*N) float64 matrix b in one reused buffer, sized by the first
     chunk, and ``_gram`` adds b b^T to the direction's total.  For rows b is
-    the transpose of the chunk cast as it sits, viewed as (k*N, N).  For
-    columns, b[i, j*N:(j+1)*N] is row i of block j: each length-N row moves
-    as one item into a staging buffer of the chunk's dtype, and one
-    contiguous cast fills b (float64 rows move into b itself), so no value
-    is transposed alone.  For i16 (or narrower) integer blocks every chunk
-    product is exact in any summation order and is folded into an int64
-    total, so the moments are bit-identical for any chunk size, any block
-    order, any Gram kernel and any set of directions.
+    the transpose of the chunk cast as it sits, viewed as (k*N, N); a
+    C-contiguous float64 chunk is that cast already, so it is read in
+    place.  For columns, b[i, j*N:(j+1)*N] is row i of block j: each
+    length-N row moves as one item into a staging buffer of the chunk's
+    dtype, and one contiguous cast fills b (float64 rows move into b
+    itself), so no value is transposed alone.  For i16 (or narrower)
+    integer blocks every chunk product is exact in any summation order and
+    is folded into an int64 total, so the moments are bit-identical for any
+    chunk size, any block order, any Gram kernel and any set of directions.
     """
     blocks = dataset.blocks
     for d in directions:
@@ -162,8 +163,11 @@ def residual_covariances(
             buf = flat[: chunk.size]
             for d, total in totals.items():
                 if d == "row":
-                    np.copyto(buf.reshape(chunk.shape), chunk)
-                    b = buf.reshape(-1, n).T
+                    a = chunk  # a C-contiguous float64 chunk is read where it lies
+                    if chunk.dtype != buf.dtype or not chunk.flags.c_contiguous:
+                        a = buf.reshape(chunk.shape)
+                        np.copyto(a, chunk)
+                    b = a.reshape(-1, n).T
                 else:
                     # the item view needs each row's values adjacent
                     rows = np.ascontiguousarray(chunk).view(row_item).reshape(len(chunk), n)

@@ -488,6 +488,67 @@ def test_quantize_merges_disjoint_interleaved_tables(n):
     assert abs(mse - want_mse) <= 1e-12 * want_mse
 
 
+def index_span(results):
+    """The largest index minus the smallest over ``results`` of ``per_block_results``."""
+    q = np.concatenate([q for _, q in results])
+    return int(q.max() - q.min())
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_quantize_counts_a_span_past_the_table_from_the_first_chunk(n):
+    # at a tiny step the first chunk's indices already span more than the dense table
+    # holds, so every chunk is counted in the sorted table
+    k = CHUNK_VALUES // n**2
+    row_t = derive_gbt(build_ggl(GraphParams(1, 0.9, L1), n))
+    col_t = derive_gbt(build_ggl(GraphParams(1, 1.4, L2), n))
+    blocks = 30 * np.random.default_rng(n).standard_normal((2 * k + 1, n, n))
+    results = per_block_results(blocks, row_t, col_t, 1e-3)
+    assert index_span(results[:k]) >= CHUNK_VALUES
+    mse, entropy = quantize_roundtrip_distortion(blocks, row_t, col_t, 1e-3)
+    want_mse, want_entropy = mse_and_entropy(results)
+    assert entropy == want_entropy
+    assert abs(mse - want_mse) <= 1e-12 * want_mse
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_quantize_counts_a_span_that_outgrows_the_table(n):
+    # two chunks fit the dense table; the third, 10^4 times larger, takes the walk to the
+    # sorted table, which must carry the dense counts over
+    k = CHUNK_VALUES // n**2
+    row_t = derive_gbt(build_ggl(GraphParams(1, 0.6, L2), n))
+    col_t = derive_gbt(build_ggl(GraphParams(1, 1.1, L1), n))
+    blocks = 30 * np.random.default_rng(n).standard_normal((3 * k + 1, n, n))
+    blocks[2 * k :] *= 1e4
+    results = per_block_results(blocks, row_t, col_t, np.pi)
+    assert index_span(results[: 2 * k]) < CHUNK_VALUES <= index_span(results)
+    mse, entropy = quantize_roundtrip_distortion(blocks, row_t, col_t, np.pi)
+    want_mse, want_entropy = mse_and_entropy(results)
+    assert entropy == want_entropy
+    assert abs(mse - want_mse) <= 1e-12 * want_mse
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("n", [8, 64])
+def test_quantize_counts_negative_zero_indices_as_zero(n, wide):
+    # integer samples at step 3 under the identity: -1 rounds to the index -0.0, 0 and 1 to
+    # +0.0, and both count as the one index 0; a last block of +-6 * 10^5, whole multiples of
+    # the step, sends the walk from the dense table to the sorted one
+    k = CHUNK_VALUES // n**2
+    blocks = np.random.default_rng(n).integers(-9, 10, (2 * k + 1, n, n))
+    if wide:
+        blocks[-1] = 600_000 * np.sign(blocks[-1])
+    t = TransformMatrix(np.eye(n), np.arange(n, dtype=float))
+    zeros = round_half_away(apply_separable(blocks.astype(float), t, t) / 3.0)
+    zeros = zeros[zeros == 0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    results = per_block_results(blocks, t, t, 3.0)
+    assert (index_span(results) >= CHUNK_VALUES) == wide
+    mse, entropy = quantize_roundtrip_distortion(blocks, t, t, 3.0)
+    want_mse, want_entropy = mse_and_entropy(results)
+    assert entropy == want_entropy
+    assert abs(mse - want_mse) <= 1e-12 * want_mse
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.sampled_from([2, 8, 64]),
@@ -521,23 +582,31 @@ def test_quantize_gbsr_memmap_matches_float_copy(tmp_path):
 
 
 _QUANTIZE_RSS_CHILD = """
+import sys
 import numpy as np
 from gbst import GraphParams, build_ggl, derive_gbt, quantize_roundtrip_distortion
+from gbst.spectral import apply_separable
 
 n = 64
 t = derive_gbt(build_ggl(GraphParams(1.0, 1.0, "L1"), n))
 blocks = 30 * np.random.default_rng(5).standard_normal((2048, n, n))
+blocks[-1] *= float(sys.argv[1])
+q = np.rint(apply_separable(blocks[-32:], t, t) / 4.0)
 before = peak_mib()
 quantize_roundtrip_distortion(blocks, t, t, 4.0)
-print(blocks.nbytes / (1 << 20), peak_mib() - before)
+print(blocks.nbytes / (1 << 20), peak_mib() - before, q.max() - q.min())
 """
 
 
 def test_quantize_keeps_memory_bounded(child_peaks):
-    # a 64 MiB stack at N = 64 adds less than a quarter of itself to the peak
-    stack_mib, rise_mib = child_peaks(_QUANTIZE_RSS_CHILD)
-    assert stack_mib >= 64
-    assert rise_mib < stack_mib / 4
+    # a 64 MiB stack at N = 64 adds less than a quarter of itself to the peak.  With its last
+    # block scaled by 10^5 the indices span about 6.7 million values, few of them taken: an
+    # int64 count table over that span would add over 50 MiB, so the peak holds the table's cap
+    for scale, span in (("1", (0, 1 << 17)), ("1e5", (1 << 21, math.inf))):
+        stack_mib, rise_mib, last_span = child_peaks(_QUANTIZE_RSS_CHILD, scale)
+        assert stack_mib >= 64
+        assert span[0] <= last_span < span[1]
+        assert rise_mib < stack_mib / 4
 
 
 @pytest.mark.parametrize("basis", [2 * np.eye(4), np.full((4, 4), np.nan), np.full((4, 4), 1e200)])
@@ -604,6 +673,13 @@ def test_quantize_largest_step_with_a_finite_square():
     assert mse == pytest.approx(1.0) and entropy == 0.0
 
 
+def test_quantize_entropy_of_one_index_is_positive_zero():
+    # p log2 p sums to +0.0 for the single index 0, and its plain negation would print -0.0
+    t = trig_matrix(K.DCT2, 4)
+    _, entropy = quantize_roundtrip_distortion(np.ones((1, 4, 4)), t, t, 1.34e154)
+    assert math.copysign(1.0, entropy) == 1.0
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])
 def test_quantize_non_finite_blocks_rejected(shape, bad):
@@ -636,6 +712,20 @@ def test_quantize_rejects_overflowing_coefficients(value, step):
         warnings.simplefilter("error")
         with pytest.raises(InvalidParameterError, match="not finite"):
             quantize_roundtrip_distortion(np.full((3, 4, 4), value), t, t, step)
+
+
+@pytest.mark.parametrize("step", [1.0, 1e-3])
+def test_quantize_rejects_overflow_after_counted_chunks(step):
+    # the first two chunks are counted, in the dense table at step 1 and in the sorted one
+    # at 1e-3; the last chunk's coefficients overflow, and its NaN indices are never counted
+    t = trig_matrix(K.DCT2, 4)
+    k = CHUNK_VALUES // 16
+    blocks = 100 * np.random.default_rng(2).standard_normal((2 * k + 1, 4, 4))
+    blocks[-1] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            quantize_roundtrip_distortion(blocks, t, t, step)
 
 
 def test_matched_transform_beats_dct2_at_equal_entropy():

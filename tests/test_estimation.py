@@ -191,6 +191,20 @@ def test_residual_covariances_single_direction():
         residual_covariances(make_dataset(blocks), ("diag",))
 
 
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_residual_covariances_float64_read_in_place_or_copied(n):
+    # the row pass reads the chunks of a C-contiguous float64 stack where they lie, and copies
+    # those of a strided view into its buffer first; the same values give the same moments
+    m = 2 * max(1, CHUNK_VALUES // n**2) + 3  # two whole chunks and part of a third
+    blocks = 30 * np.random.default_rng(n).standard_normal((m, n, n))
+    wide = np.zeros((m, n, 2 * n))
+    wide[:, :, ::2] = blocks
+    direct, strided = make_dataset(blocks), make_dataset(wide[:, :, ::2])
+    assert direct.blocks.flags.c_contiguous and not strided.blocks.flags.c_contiguous
+    for d, s in zip(residual_covariances(direct), residual_covariances(strided), strict=True):
+        assert np.array_equal(d.matrix, s.matrix)
+
+
 def _repeated_blocks(dtype, m):
     """m 2 x 2 blocks of ``dtype`` over the memory of one: a stack of any length, in 8 bytes."""
     block = np.full((2, 2), 7, dtype)

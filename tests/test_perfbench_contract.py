@@ -51,6 +51,11 @@ def test_fit_pass_plain_and_traced(perfbench):
     assert {"residual_covariances", "solve_ml", "alpha_sweep", "evaluate_metrics", "derive_gbt", "integerize",
             "quantize_roundtrip_distortion"} <= names
     assert all(span[5] == {"iterations": 0} for span in tracer.spans if span[0] == "solve_ml")
+    # each sweep scores every alpha through evaluate_metrics, one span each; perfbench counts them
+    sweeps = [span[3] for span in tracer.spans if span[0] == "alpha_sweep"]
+    scored = [span[4] for span in tracer.spans if span[0] == "evaluate_metrics"]
+    assert len(sweeps) == 2 * len(SIZES)
+    assert sorted(scored) == sorted(sweeps * len(worker.ALPHAS))
 
 
 # per command, the spans whose figures perfbench/run.py reports for it
