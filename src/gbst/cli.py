@@ -25,7 +25,8 @@ import numpy as np
 from . import coding, estimation, trig
 from .dataset import read_gbsr
 from .errors import GBSTError
-from .graph import GraphFamily, GraphParams, build_ggl, check_size, matrix_text, text_blocks
+from .estimation import ALPHA_STEP
+from .graph import GraphFamily, GraphParams, build_ggl, matrix_text, text_blocks
 from .spectral import derive_gbt, gbt_dump
 from .trig import TrigTransformKind
 
@@ -98,7 +99,6 @@ def cmd_basis(args, parser) -> int:
 
 def cmd_learn(args, parser) -> int:
     dataset = read_gbsr(args.data)
-    check_size(dataset.block_size)  # before the data pass
     (cov,) = estimation.residual_covariances(dataset, (args.direction,))
     sol = estimation.solve_ml(cov, args.family)
     ref = estimation.refine(sol, dataset.block_size)
@@ -141,8 +141,8 @@ def _parse_alphas(spec: str, parser) -> list[float]:
         parser.error(f"--alphas must be start:step:end, got {spec!r}")
     if not all(math.isfinite(x) for x in (start, step, end)):
         parser.error(f"--alphas parts must be finite, got {spec!r}")
-    if step <= 0 or not (step * 4).is_integer():  # a huge step overflows step * 4 to inf
-        parser.error(f"--alphas step must be a positive multiple of 0.25, got {step}")
+    if step <= 0 or not (step / ALPHA_STEP).is_integer():  # a huge step overflows step / ALPHA_STEP to inf
+        parser.error(f"--alphas step must be a positive multiple of {ALPHA_STEP:g}, got {step}")
     span = (end - start) / step
     if span >= _MAX_ALPHAS:  # checked before the list is built
         parser.error(f"--alphas range {spec!r} has more than {_MAX_ALPHAS} points")
@@ -158,7 +158,6 @@ def cmd_sweep(args, parser) -> int:
     n = args.n
     if args.data:
         dataset = read_gbsr(args.data)
-        check_size(dataset.block_size)  # before the data pass
         if n is None:
             n = dataset.block_size
         coding.check_transform_size(n, dataset.block_size)  # before the data pass
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sweep", cmd_sweep, "coding metrics across the alpha grid")
     p.add_argument("--n", type=int, help="block size; defaults to the --data file's")
     p.add_argument("--family", choices=families, default="L1")
-    p.add_argument("--alphas", required=True, help="start:step:end, step a multiple of 0.25")
+    p.add_argument("--alphas", required=True, help=f"start:step:end, step a multiple of {ALPHA_STEP:g}")
     p.add_argument("--model-v", dest="model_v", type=float)
     p.add_argument("--data")
     p.add_argument("--out")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetFormatError, EmptyDatasetError, InconsistentBlockSizeError
-from .graph import N_MIN, frozen_view, real_array
+from .graph import N_MIN, check_size, frozen_view, real_array
 
 MAGIC = b"GBSR"
 VERSION = 1
@@ -47,7 +47,7 @@ _RELEASE_BYTES = 4 << 20
 
 @dataclass(frozen=True, eq=False)
 class ResidualDataset:
-    """M residual blocks of size N x N, held as a read-only view."""
+    """M residual blocks of size N x N, N in [2, 64], held as a read-only view."""
 
     blocks: np.ndarray  # (M, N, N): float64 in memory, a read-only i16 memmap from a file
 
@@ -57,6 +57,7 @@ class ResidualDataset:
             raise EmptyDatasetError(f"expected a nonempty (M, N, N) array, got shape {blocks.shape}")
         if blocks.shape[1] != blocks.shape[2]:
             raise InconsistentBlockSizeError(f"blocks must be square, got shape {blocks.shape}")
+        check_size(blocks.shape[1])
         object.__setattr__(self, "blocks", blocks)
 
     @property

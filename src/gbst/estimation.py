@@ -78,11 +78,13 @@ class MLSolution:
 
 @dataclass(frozen=True)
 class RefinedParam:
-    """Normalized vertex weight rounded to the 0.25 grid."""
+    """Normalized vertex weight rounded to the ALPHA_STEP grid."""
 
     alpha: float
     size: int
 
+
+ALPHA_STEP = 0.25  # the grid ``refine`` rounds v*/w* to; a power of two, so scaling by it is exact
 
 # Integer blocks of at most 16 bits: a chunk of block_chunks holds at most
 # max(CHUNK_VALUES, N^2) values, so its Gram sums at most max(CHUNK_VALUES, N)
@@ -261,11 +263,11 @@ def refine(sol: MLSolution, size: int | None = None) -> RefinedParam:
     if sol.v_star < 0:
         raise InvalidParameterError(f"vertex weight must be nonnegative, got v* = {sol.v_star}")
     ratio = sol.v_star / sol.w_star
-    scaled = 4.0 * ratio
+    scaled = ratio / ALPHA_STEP
     if not math.isfinite(scaled):
-        raise InvalidParameterError(f"v*/w* = {ratio} is too large to round to the 0.25 grid")
+        raise InvalidParameterError(f"v*/w* = {ratio} is too large to round to the {ALPHA_STEP:g} grid")
     # scaled - whole is exact; floor(scaled + 0.5) would round the sum, off
     # the grid at scaled >= 2^52 (already whole) and up to 1 just below 0.5
     whole = math.floor(scaled)
-    alpha = (whole + (scaled - whole >= 0.5)) / 4.0
+    alpha = (whole + (scaled - whole >= 0.5)) * ALPHA_STEP
     return RefinedParam(alpha=alpha, size=size if size is not None else 0)

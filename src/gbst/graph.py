@@ -102,6 +102,9 @@ class LineGraphLaplacian:
         return 0 if self.params.family is GraphFamily.L1 else self.size - 1
 
 
+build_ggl = LineGraphLaplacian  # build_ggl(params, n): the line graph's Laplacian on n vertices
+
+
 def check_size(n: int) -> None:
     """Raise InvalidDimensionError unless n is an integer in [N_MIN, N_MAX]."""
     if not isinstance(n, (int, np.integer)) or n < N_MIN or n > N_MAX:
@@ -133,11 +136,6 @@ def check_positive_definite(params: GraphParams) -> None:
         raise NonPositiveDefiniteError(
             f"precision needs w > 0 and v > 0, got w={params.edge_weight}, v={params.vertex_weight}"
         )
-
-
-def build_ggl(params: GraphParams, n: int) -> LineGraphLaplacian:
-    """The Laplacian of the line graph with these parameters on ``n`` vertices."""
-    return LineGraphLaplacian(params, n)
 
 
 def dense_form(lap: LineGraphLaplacian) -> np.ndarray:

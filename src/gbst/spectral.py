@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DecompositionError, DimensionMismatchError
+from .errors import DecompositionError, DimensionMismatchError, InvalidParameterError
 from .graph import LineGraphLaplacian, dense_form, frozen_view, matrix_text, real_array
 
 SIGN_EPS = 1e-12
@@ -30,6 +30,7 @@ class TransformMatrix:
     """Orthonormal basis: column k of ``basis`` is the k-th basis vector.
 
     ``eigenvalues`` is ascending; entry k belongs to column k.  Both are read-only views.
+    A basis off by more than 1e-10 (max|U^T U - I|), or not finite, raises InvalidParameterError.
     """
 
     basis: np.ndarray
@@ -41,6 +42,9 @@ class TransformMatrix:
             raise DimensionMismatchError(
                 f"basis {b.shape} and eigenvalues {e.shape} are not (N, N) and (N,) with N >= 1"
             )
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN, inf or overflowing basis fails too
+            if not np.abs(b.T @ np.asarray(b, dtype=float) - np.eye(len(b))).max() <= 1e-10:
+                raise InvalidParameterError("basis is not orthonormal: max|U^T U - I| > 1e-10")
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "eigenvalues", e)
 

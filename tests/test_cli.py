@@ -12,7 +12,7 @@ import gbst.estimation as estimation
 import gbst.graph as graph
 import gbst.trig as trig
 from gbst.coding import sample_gmrf_blocks
-from gbst.dataset import make_dataset, write_gbsr
+from gbst.dataset import _HEADER, MAGIC, SAMPLE_DTYPE, VERSION, make_dataset, write_gbsr
 from gbst.graph import GraphFamily, GraphParams, build_ggl, matrix_text
 from gbst.spectral import derive_gbt
 
@@ -41,11 +41,9 @@ def test_verify_single_check(capsys):
 def test_verify_negative_control(capsys, monkeypatch):
     real = trig.trig_matrix
 
-    def broken(kind, n):
+    def broken(kind, n):  # two columns swapped: still orthonormal, but not the graph's basis
         t = real(kind, n)
-        basis = t.basis.copy()
-        basis[0, 0] += 1e-3
-        return type(t)(basis, t.eigenvalues.copy())
+        return type(t)(t.basis[:, [1, 0, *range(2, n)]], t.eigenvalues)
 
     monkeypatch.setattr(trig, "trig_matrix", broken)
     code, out, _ = run(capsys, "verify")
@@ -388,8 +386,9 @@ def test_non_finite_weights_exit_3(capsys, argv):
 
 
 def _write_blocks(path, n, count, seed=0):
+    """GBSR bytes written directly, so that N outside [2, 64], which no dataset admits, is written too."""
     blocks = np.rint(np.random.default_rng(seed).standard_normal((count, n, n)) * 30)
-    write_gbsr(path, make_dataset(blocks))
+    path.write_bytes(_HEADER.pack(MAGIC, VERSION, n, count) + blocks.astype(SAMPLE_DTYPE).tobytes())
 
 
 @pytest.fixture

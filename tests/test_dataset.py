@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gbst.dataset import MAGIC, make_dataset, read_gbsr, write_gbsr
-from gbst.errors import DatasetFormatError, EmptyDatasetError, InconsistentBlockSizeError
+from gbst.errors import (
+    DatasetFormatError, EmptyDatasetError, InconsistentBlockSizeError, InvalidDimensionError,
+)
 
 
 def test_round_trip(tmp_path):
@@ -79,6 +81,14 @@ def test_make_dataset_validation():
         make_dataset(np.zeros((0, 4, 4)))
     with pytest.raises(InconsistentBlockSizeError):
         make_dataset(np.zeros((2, 4, 5)))
+
+
+def test_read_gbsr_refuses_a_block_size_no_transform_has(tmp_path):
+    # a well-formed file at N = 100: the dataset, not each command, refuses it
+    path = tmp_path / "big.gbsr"
+    path.write_bytes(_gbsr_bytes(np.ones((1, 100, 100), np.int16)))
+    with pytest.raises(InvalidDimensionError, match=r"^size must be an integer in \[2, 64\], got 100$"):
+        read_gbsr(path)
 
 
 def test_make_dataset_leaves_caller_array_writeable():

@@ -1,10 +1,14 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbst.coding import integerize
-from gbst.errors import DecompositionError, DimensionMismatchError
+from gbst.errors import DecompositionError, DimensionMismatchError, GBSTError, InvalidParameterError
+from gbst.estimation import ALPHA_STEP
 from gbst.graph import GraphFamily, GraphParams, LineGraphLaplacian, build_ggl, dense_form
 from gbst.spectral import (
     SIGN_EPS,
@@ -25,6 +29,51 @@ SIZES = (4, 8, 16, 32)
 
 def identity_transform(n):
     return TransformMatrix(np.eye(n), np.zeros(n))
+
+
+NOT_ORTHONORMAL = {
+    "2I": 2 * np.eye(4),
+    "nan": np.full((4, 4), np.nan),
+    "1e200": np.full((4, 4), 1e200),  # U^T U overflows to inf
+    "inf": np.full((4, 4), np.inf),  # U^T U holds inf - inf
+    "past-the-bound": np.diag([1 + 6e-11, 1, 1, 1]),  # max|U^T U - I| = 1.2e-10
+    "int8": np.array([[16, -1], [1, 16]], np.int8),  # U^T U = 257 I, which wraps to I in int8
+}
+
+
+@pytest.mark.parametrize("basis", list(NOT_ORTHONORMAL.values()), ids=list(NOT_ORTHONORMAL))
+def test_transform_matrix_rejects_non_orthonormal_basis(basis):
+    # consumers read Parseval off the basis: with one basis 2I the quantizer's coefficient MSE
+    # would read 0.73 where quantizing and inverting block by block gives 7.2e4, and
+    # evaluate_metrics on the identity covariance a plausible -6.02 dB
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="^basis is not orthonormal"):
+            TransformMatrix(basis, np.zeros(len(basis)))
+
+
+def test_transform_matrix_admits_a_basis_inside_the_bound():
+    assert TransformMatrix(np.diag([1 + 4e-11, 1, 1, 1]), np.zeros(4)).size == 4  # 8e-11
+
+
+def test_every_generated_basis_is_orthonormal_far_inside_the_bound(monkeypatch):
+    # the CLI digest matrix's weights and the alpha grid to 4, both families, and the five
+    # closed forms, at every N: each lies within 1e-13 of orthonormal, a thousandth of the 1e-10
+    # that TransformMatrix admits, so the bound never refuses a transform the CLI makes
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
+    from compare_cli import WEIGHTS
+
+    weights = [*((float(w), float(v)) for w, v in WEIGHTS), *((1.0, k * ALPHA_STEP) for k in range(17))]
+    bases = [trig_matrix(kind, n).basis for kind in TrigTransformKind for n in range(2, 65)]
+    for n in range(2, 65):
+        for family in GraphFamily:
+            for w, v in weights:
+                try:
+                    bases.append(derive_gbt(build_ggl(GraphParams(w, v, family), n)).basis)
+                except GBSTError:  # w = 0, a spectrum too close to degenerate, 4w + v overflowing
+                    continue
+    assert len(bases) == 5 * 63 + 3026
+    assert max(np.abs(b.T @ b - np.eye(len(b))).max() for b in bases) <= 1e-13
 
 
 def test_dct2_correspondence():

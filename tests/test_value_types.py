@@ -13,6 +13,7 @@ from gbst.errors import (
     DimensionMismatchError,
     EmptyDatasetError,
     InconsistentBlockSizeError,
+    InvalidDimensionError,
     InvalidParameterError,
 )
 from gbst.estimation import SampleCovariance
@@ -118,6 +119,8 @@ BAD_SHAPES = {
     "dataset-2d": (lambda: ResidualDataset(np.zeros((4, 4))), EmptyDatasetError),
     "dataset-empty": (lambda: ResidualDataset(np.zeros((0, 4, 4))), EmptyDatasetError),
     "dataset-not-square": (lambda: ResidualDataset(np.zeros((2, 4, 5))), InconsistentBlockSizeError),
+    "dataset-1x1": (lambda: ResidualDataset(np.zeros((2, 1, 1))), InvalidDimensionError),
+    "dataset-65x65": (lambda: make_dataset(np.zeros((1, 65, 65))), InvalidDimensionError),
     "covariance-not-square": (lambda: SampleCovariance(np.eye(4)[:3]), DegenerateInputError),
     "covariance-1d": (lambda: SampleCovariance(np.ones(4)), DegenerateInputError),
     "covariance-empty": (lambda: SampleCovariance(np.zeros((0, 0))), DegenerateInputError),

@@ -38,7 +38,7 @@ import tempfile
 import numpy as np
 
 from gbst import cli
-from gbst.dataset import _HEADER, MAGIC, VERSION, make_dataset, write_gbsr
+from gbst.dataset import _HEADER, MAGIC, SAMPLE_DTYPE, VERSION, make_dataset, write_gbsr
 
 SIZES = (2, 3, 8, 26, 64)
 FAMILIES = ("L1", "L2")
@@ -78,7 +78,8 @@ def make_data(directory: str) -> list[str]:
     add("chunks3.gbsr", np.rint(rng.standard_normal((50_000, 3, 3)) * 30))
     add("constant_rows.gbsr", np.full((5, 8, 8), 7.0))
     add("zeros.gbsr", np.zeros((5, 8, 8)))
-    add("block100.gbsr", np.ones((1, 100, 100)))
+    # a well-formed file whose N no dataset admits, so written as raw bytes
+    add("block100.gbsr", _HEADER.pack(MAGIC, VERSION, 100, 1) + np.ones(100 * 100, SAMPLE_DTYPE).tobytes())
     add("truncated.gbsr", _HEADER.pack(MAGIC, VERSION, 8, 10) + bytes(16))
     add("bad_magic.gbsr", b"XXXX" + bytes(20))
     paths.append(os.path.join(directory, "missing.gbsr"))
