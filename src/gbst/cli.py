@@ -128,7 +128,7 @@ def cmd_refine(args, parser) -> int:
     sol = estimation.MLSolution(w_star=args.w, v_star=args.v, objective=0.0)
     ref = estimation.refine(sol, args.n)
     if args.json:
-        print(json.dumps({"ratio": args.v / args.w, "alpha": ref.alpha, "n": args.n}))
+        print(json.dumps({"ratio": sol.ratio, "alpha": ref.alpha, "n": args.n}))
     else:
         print(f"alpha: {ref.alpha}")
     return 0

@@ -9,6 +9,7 @@ implementations that follow the same recipe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .dataset import CHUNK_VALUES, block_chunks
 from .estimation import SampleCovariance
 from .graph import (
     GraphFamily, GraphParams, LineGraphLaplacian, build_ggl, check_positive_definite, dense_form,
-    frozen_view, matrix_text, real_array,
+    frozen_view, matrix_text, real_array, round_half_away,
 )
 from .spectral import TransformMatrix, apply_separable, check_block_shape, derive_gbt
 
@@ -68,18 +69,6 @@ class CodingMetrics:
     entropy_proxy_bits: float
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, ties away from zero (not banker's)."""
-    q = np.rint(x)
-    # x - rint(x) is exact, and is +-1/2 only at a tie k + 1/2, which rint sends to
-    # the even neighbour; there x + copysign(1/2, x) is exact and the neighbour away from 0
-    with np.errstate(invalid="ignore"):  # inf - inf is nan, no tie; q stays inf
-        tie = np.abs(x - q) == 0.5
-    if tie.any():
-        q = np.where(tie, x + np.copysign(0.5, x), q)
-    return q
-
-
 def _box_muller(gen: np.random.Generator, count: int, gen2: np.random.Generator | None = None) -> np.ndarray:
     """``count`` standard normals: r cos(2 pi u2), r sin(2 pi u2) with r = sqrt(-2 log(1 - u1)).
 
@@ -121,6 +110,14 @@ def _inverse_cholesky(lap: LineGraphLaplacian) -> np.ndarray:
     return _factor_precision(lap, lambda m: np.linalg.inv(np.linalg.cholesky(m)))
 
 
+def _exact_int(name: str, x) -> int:
+    """``x`` as a Python int, so no int64 product of it wraps; InvalidParameterError unless integral."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {x!r}") from None
+
+
 def gmrf_chunks(precision: LineGraphLaplacian, count: int, seed: int):
     """Draws x ~ N(0, L^{-1}) as (m, N) arrays of at most 2^18 values, ``count`` rows in all.
 
@@ -128,7 +125,7 @@ def gmrf_chunks(precision: LineGraphLaplacian, count: int, seed: int):
     x = g C^{-1}, so cov(x) = C^{-T} C^{-1} = L^{-1}.  The checks run on the
     call, the bound on count * N first; the draws run as the result is iterated.
     """
-    n = precision.size
+    n, count, seed = precision.size, _exact_int("count", count), _exact_int("seed", seed)
     if count * n > SAMPLE_MAX_VALUES:
         raise InvalidParameterError(f"count {count} at N={n} exceeds {SAMPLE_MAX_VALUES} values")
     if count < 1:
@@ -210,7 +207,7 @@ def sample_gmrf_blocks(
     """
     if row_precision.size != col_precision.size:
         raise DimensionMismatchError("row and column graphs must share N")
-    n = row_precision.size
+    n, count = row_precision.size, _exact_int("count", count)
     cinv_col = _inverse_cholesky(col_precision)
     # |X| <= |C_col^{-T}| |Z C_row^{-1}| entrywise
     _check_draw_bound(_BOX_MULLER_MAX * _draw_gain(_inverse_cholesky(row_precision)) * _draw_gain(cinv_col))

@@ -25,17 +25,20 @@ from .errors import (
     DegenerateInputError,
     InvalidParameterError,
 )
-from .graph import GraphFamily, GraphParams, build_ggl, check_positive_definite, frozen_view
+from .graph import (
+    GraphFamily, GraphParams, build_ggl, check_positive_definite, dense_form, frozen_view, real_array,
+    round_half_away,
+)
 
 
 @dataclass(frozen=True, eq=False)
 class SampleCovariance:
-    """Symmetric PSD N x N second-moment matrix of rows or columns, held as a read-only view."""
+    """Symmetric PSD N x N second moments, held as a read-only float64 view (of a copy if not float64)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = frozen_view(self.matrix)
+        m = frozen_view(np.asarray(real_array(self.matrix), dtype=float))
         if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
             raise DegenerateInputError(f"covariance must be square and nonempty, got shape {m.shape}")
         if not np.isfinite(m).all():
@@ -188,15 +191,12 @@ def _path_moments(family: GraphFamily, cov: SampleCovariance) -> tuple[int, floa
     P = dL/dw is the unit-weight path Laplacian, so Tr(PS) is the summed
     second moment of the adjacent differences x_i - x_{i+1}; S_kk = dTr(LS)/dv.
     """
-    n, s = cov.size, cov.matrix
-    k = build_ggl(GraphParams(1.0, 1.0, family), n).self_loop_vertex
-    # the diagonal and off-diagonal of P as two dot products, in this order
-    # and on a contiguous superdiagonal copy, so the sum rounds the same way
-    # on every call
-    p_diag = np.full(n, 2.0)
-    p_diag[[0, -1]] = 1.0
-    idx = np.arange(n - 1)
-    tr_ps = float(p_diag @ np.diag(s) + np.full(n - 1, -2.0) @ s[idx, idx + 1])
+    path = build_ggl(GraphParams(1.0, 0.0, family), cov.size)
+    p, s, k = dense_form(path), cov.matrix, path.self_loop_vertex
+    # P's diagonal, then its off-diagonal, as dot products of contiguous copies,
+    # so the sum rounds the same way on every call
+    idx = np.arange(cov.size - 1)
+    tr_ps = float(p.diagonal().copy() @ np.diag(s) + 2.0 * p[idx, idx + 1] @ s[idx, idx + 1])
     return k, tr_ps, float(s[k, k])
 
 
@@ -254,7 +254,7 @@ def refine(sol: MLSolution, size: int | None = None) -> RefinedParam:
     """Normalize by w* and round v*/w* to the nearest multiple of 0.25.
 
     The weights must be ones ``GraphParams`` accepts, with w* > 0.  Exact
-    ties round up.
+    ties round up, by ``round_half_away``.
     """
     if not (math.isfinite(sol.w_star) and math.isfinite(sol.v_star)):
         raise InvalidParameterError(f"fit must be finite, got w* = {sol.w_star}, v* = {sol.v_star}")
@@ -262,12 +262,8 @@ def refine(sol: MLSolution, size: int | None = None) -> RefinedParam:
         raise DegenerateGraphError(f"cannot normalize with w* = {sol.w_star}")
     if sol.v_star < 0:
         raise InvalidParameterError(f"vertex weight must be nonnegative, got v* = {sol.v_star}")
-    ratio = sol.v_star / sol.w_star
-    scaled = ratio / ALPHA_STEP
+    scaled = sol.ratio / ALPHA_STEP
     if not math.isfinite(scaled):
-        raise InvalidParameterError(f"v*/w* = {ratio} is too large to round to the {ALPHA_STEP:g} grid")
-    # scaled - whole is exact; floor(scaled + 0.5) would round the sum, off
-    # the grid at scaled >= 2^52 (already whole) and up to 1 just below 0.5
-    whole = math.floor(scaled)
-    alpha = (whole + (scaled - whole >= 0.5)) * ALPHA_STEP
+        raise InvalidParameterError(f"v*/w* = {sol.ratio} is too large to round to the {ALPHA_STEP:g} grid")
+    alpha = float(round_half_away(scaled)) * ALPHA_STEP + 0.0  # + 0.0 sends v* = -0.0 to +0.0
     return RefinedParam(alpha=alpha, size=size if size is not None else 0)

@@ -130,6 +130,18 @@ def frozen_view(a) -> np.ndarray:
     return view
 
 
+def round_half_away(x: np.ndarray) -> np.ndarray:
+    """Round to nearest integer, ties away from zero (not banker's)."""
+    q = np.rint(x)
+    # x - rint(x) is exact, and is +-1/2 only at a tie k + 1/2, which rint sends to
+    # the even neighbour; there x + copysign(1/2, x) is exact and the neighbour away from 0
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, no tie; q stays inf
+        tie = np.abs(x - q) == 0.5
+    if tie.any():
+        q = np.where(tie, x + np.copysign(0.5, x), q)
+    return q
+
+
 def check_positive_definite(params: GraphParams) -> None:
     """Raise NonPositiveDefiniteError unless w > 0 and v > 0, which is when det L = v w^(N-1) > 0."""
     if not (params.edge_weight > 0 and params.vertex_weight > 0):

@@ -168,6 +168,54 @@ def test_samplers_bound_count_times_n_on_the_call(monkeypatch, name):
         draw(_PD, 11)
 
 
+# each sampler as draw(precision, count, seed), every precision slot at the one N
+SAME_N = {
+    "gmrf": sample_gmrf,
+    "covariance": sample_covariance,
+    "blocks": lambda lap, count, seed: sample_gmrf_blocks(lap, lap, count, seed),
+    "chunks": lambda lap, count, seed: coding.gmrf_chunks(lap, count, seed),
+}
+# counts whose product with N, or with N twice in sample_gmrf_blocks, wraps int64 or uint64
+WRAPPING_COUNTS = [np.int64(2**58), np.int64(2**58 + 1), np.int64(2**57 + 1), np.int64(2**60),
+                   np.iinfo(np.int64).max, np.uint64(2**64 - 1)]
+
+
+@pytest.mark.parametrize("name", SAME_N)
+@pytest.mark.parametrize("count", WRAPPING_COUNTS, ids=repr)
+def test_samplers_bound_a_numpy_count_exactly(monkeypatch, name, count):
+    # without the exact bound these hang in the draw loop or fail after drawing
+    monkeypatch.setattr(coding, "_box_muller", None)
+    lap = build_ggl(GraphParams(1, 1, L1), 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = rf"^count \d+ at N=64 exceeds {coding.SAMPLE_MAX_VALUES} values$"
+        with pytest.raises(InvalidParameterError, match=bound):
+            SAME_N[name](lap, count, 0)
+
+
+@pytest.mark.parametrize("name", SAME_N)
+@pytest.mark.parametrize("slot", ["count", "seed"])
+@pytest.mark.parametrize("bad", [5.0, np.float64(5.0), "5", None, np.True_], ids=repr)
+def test_samplers_reject_a_non_integer_count_or_seed(monkeypatch, name, slot, bad):
+    monkeypatch.setattr(coding, "_box_muller", None)
+    args = {"count": 5, "seed": 0, slot: bad}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match=f"^{slot} must be an integer, got "):
+            SAME_N[name](_PD, args["count"], args["seed"])
+
+
+@pytest.mark.parametrize("name", SAME_N)
+def test_samplers_draw_the_same_bits_for_a_numpy_count_and_seed(name):
+    want = SAME_N[name](_PD, 7, 3)
+    got = SAME_N[name](_PD, np.int64(7), np.uint32(3))
+    if name == "chunks":
+        want, got = np.concatenate(list(want)), np.concatenate(list(got))
+    elif name == "covariance":
+        want, got = want.matrix, got.matrix
+    assert got.tobytes() == want.tobytes()
+
+
 def _philox_draws(seed, sizes):
     """The standard normal stream the samplers consume, drawn in the same pieces."""
     gen = np.random.Generator(np.random.Philox(seed))

@@ -1,4 +1,6 @@
+import math
 import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -524,6 +526,73 @@ def test_refine_rejects_weights_graph_params_rejects():
     for w, v in [(1e-320, 1e300), (1.0, 1e308)]:
         with pytest.raises(InvalidParameterError, match="too large"):
             refine(MLSolution(w, v, 0.0))
+
+
+def _refine_oracle(ratio: float) -> float:
+    """ratio rounded to the ALPHA_STEP grid in rational arithmetic, exact ties up, as a float."""
+    step = Fraction(estimation.ALPHA_STEP)
+    scaled = Fraction(ratio) / step
+    whole = math.floor(scaled)
+    return float((whole + (scaled - whole >= Fraction(1, 2))) * step)
+
+
+def _check_refine(w: float, v: float) -> None:
+    sol = MLSolution(w, v, 0.0)
+    if not math.isfinite(sol.ratio / estimation.ALPHA_STEP):
+        with pytest.raises(InvalidParameterError, match="too large"):
+            refine(sol)
+        return
+    got, want = refine(sol).alpha, _refine_oracle(sol.ratio)
+    assert type(got) is float
+    assert got.hex() == want.hex()  # bit for bit: -0.0 comes back as +0.0
+
+
+# ties k + 1/2 on the grid, whole grid values at and past 2^52, the float just below a tie, -0.0
+_GRID_EDGES = [0.5, 1.5, 2.5, 7.5, 2.0**51 + 0.5, 2.0**52 - 0.5, 2.0**52 + 1, 2.0**53,
+               float(np.nextafter(0.5, 0.0)), -0.0]
+
+
+@pytest.mark.parametrize("scaled", _GRID_EDGES)
+def test_refine_edges_match_exact_rounding(scaled):
+    for v in (scaled, scaled * estimation.ALPHA_STEP):  # as the ratio, and as the ratio over the grid
+        _check_refine(1.0, v)
+        _check_refine(2.0, 2.0 * v)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    w=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    v=st.floats(min_value=0.0, allow_infinity=False),
+)
+def test_refine_matches_exact_rounding(w, v):
+    _check_refine(w, v)
+
+
+def _hand_built_path_moments(family, cov):
+    """(k, Tr(PS), S_kk) from P written out by hand; ``_path_moments`` must give its bits."""
+    n, s = cov.size, cov.matrix
+    k = build_ggl(GraphParams(1.0, 1.0, family), n).self_loop_vertex
+    p_diag = np.full(n, 2.0)
+    p_diag[[0, -1]] = 1.0
+    idx = np.arange(n - 1)
+    tr_ps = float(p_diag @ np.diag(s) + np.full(n - 1, -2.0) @ s[idx, idx + 1])
+    return k, tr_ps, float(s[k, k])
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_path_moments_match_the_hand_built_formula(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, 2 * n)) * 10.0 ** rng.uniform(-5, 5, size=(n, 1))
+    s = a @ a.T / (2 * n)
+    s = (s + s.T) / 2
+    blocks = rng.integers(-(2**15), 2**15, size=(3, n, n), dtype=np.int16)
+    covs = [SampleCovariance(s), SampleCovariance(np.asfortranarray(s)), random_cov(rng, n),
+            *residual_covariances(ResidualDataset(blocks))]
+    for cov in covs:
+        for family in (L1, L2):
+            k, tr_ps, s_kk = estimation._path_moments(family, cov)
+            want_k, want_tr, want_s = _hand_built_path_moments(family, cov)
+            assert (k, tr_ps.hex(), s_kk.hex()) == (want_k, want_tr.hex(), want_s.hex())
 
 
 def test_learn_gbst_end_to_end():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gbst.coding import IntTransformMatrix, quantize_roundtrip_distortion
+from gbst.coding import IntTransformMatrix, evaluate_metrics, quantize_roundtrip_distortion
 from gbst.dataset import ResidualDataset, make_dataset
 from gbst.errors import (
     DegenerateInputError,
@@ -16,9 +16,9 @@ from gbst.errors import (
     InvalidDimensionError,
     InvalidParameterError,
 )
-from gbst.estimation import SampleCovariance
-from gbst.graph import matrix_text
-from gbst.spectral import TransformMatrix, apply_separable, inverse_separable
+from gbst.estimation import SampleCovariance, solve_ml
+from gbst.graph import GraphParams, build_ggl, matrix_text
+from gbst.spectral import TransformMatrix, apply_separable, derive_gbt, inverse_separable
 
 
 def _values(n):
@@ -59,6 +59,20 @@ def test_value_from_nested_lists_equals_value_from_arrays(name, n):
         held, want = getattr(from_lists, field), getattr(from_arrays, field)
         assert held.dtype == want.dtype and np.array_equal(held, want)
         assert not held.flags.writeable
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.float16, np.float32])
+def test_sample_covariance_holds_float64(dtype):
+    # a bool matrix has no subtraction and linalg takes no float16, so both failed untyped
+    a = np.eye(4) if dtype is bool else 2 * np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)
+    given, want = a.astype(dtype), SampleCovariance(a)
+    cov = SampleCovariance(given)
+    assert cov.matrix.dtype == np.float64 and np.array_equal(cov.matrix, a)
+    assert not cov.matrix.flags.writeable and not np.shares_memory(cov.matrix, given)
+    t = derive_gbt(build_ggl(GraphParams(1.0, 1.0, "L1"), 4))
+    assert solve_ml(cov, "L2") == solve_ml(want, "L2")
+    assert evaluate_metrics(t, cov) == evaluate_metrics(t, want)
 
 
 @pytest.mark.parametrize("name", list(_values(2)))

@@ -4,8 +4,8 @@ Usage: PYTHONPATH=src python tools/compare_cli.py
 
 Every call of the matrix runs once through ``gbst.cli.main`` in this
 process, in an empty working directory of its own.  The matrix covers every
-command, N in {2, 3, 8, 26, 64}, both families, v = 0, v/w = 1e-17 and
-1e300, an edge weight whose 4w + v overflows float64, generated GBSR files
+command, N in {2, 3, 8, 26, 64}, both families, v = 0 (and -0 in refine),
+v/w = 1e-17 and 1e300, an edge weight whose 4w + v overflows float64, generated GBSR files
 (small ones, ones that span several moment chunks, the last one partial, at
 N = 3, 8 and 64, and one longer than the 4 MiB span in which a pass
 releases a file's pages), ``sweep --data`` with a matching and a
@@ -123,7 +123,7 @@ def call_matrix(data: list[str]) -> list[list[str]]:
     random8 = next(p for p in data if p.endswith("random8.gbsr"))
     calls += [["sweep", "--data", random8, "--n", n, "--alphas", "0:0.5:3"] for n in ("8", "16")]
     for w, v in (("2", "1.6"), ("1", "0.125"), ("1", "1125899906842624.25"), ("1", "-1"), ("-1", "1"),
-                 ("0", "1"), ("1e-320", "1e300"), ("1", "1e308"), ("nan", "1"), ("1", "inf")):
+                 ("0", "1"), ("1e-320", "1e300"), ("1", "1e308"), ("nan", "1"), ("1", "inf"), ("1", "-0")):
         calls += [["refine", "--w", w, "--v", v], ["refine", "--w", w, "--v", v, "--n", "8", "--json"]]
     calls += [
         [], ["bogus"], ["verify", "--bogus"], ["basis", "--w", "1", "--n", "8"],
